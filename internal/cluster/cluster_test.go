@@ -77,26 +77,6 @@ func TestOneNodeClusterMatchesStandalone(t *testing.T) {
 	}
 }
 
-// TestClusterDeterministicAcrossShards locks the parallel-engine contract
-// at rack scale: a four-node cluster's Results must be bit-identical
-// whether the shared engine runs sequentially or sharded.
-func TestClusterDeterministicAcrossShards(t *testing.T) {
-	run := func(shards int) Results {
-		cfg := quickCluster(4)
-		cfg.Node.Shards = shards
-		return MustNew(cfg).Run(300_000, 200_000)
-	}
-	ref := run(1)
-	if ref.Served == 0 {
-		t.Fatal("cluster served nothing")
-	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("shards=%d diverged from sequential:\n  got: %+v\n  ref: %+v", shards, got, ref)
-		}
-	}
-}
-
 // TestClusterRemoteMemoryPath checks a multi-node KVS rack actually
 // exercises the fabric: sharded logs force remote GETs, which show up in
 // the remote-read counter, the fabric's message counters and the manifest

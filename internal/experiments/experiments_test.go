@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,31 +42,6 @@ func TestWorkersEnvOverride(t *testing.T) {
 	t.Setenv("SWEEPER_WORKERS", "not-a-number")
 	if got := (Scale{}).workers(); got < 1 {
 		t.Fatalf("workers() = %d with junk SWEEPER_WORKERS", got)
-	}
-}
-
-func TestWorkersDividedByShards(t *testing.T) {
-	// A sharded run occupies Shards slots, so the run-level budget shrinks
-	// by that factor and never drops below one.
-	cases := []struct {
-		parallelism, shards, want int
-	}{
-		{8, 0, 8},  // sequential: full budget
-		{8, 1, 8},  // shards=1 is the sequential fallback
-		{8, 2, 4},  // budget split evenly
-		{8, 4, 2},  //
-		{8, 16, 1}, // oversubscribed shards: floor at one run
-		{3, 2, 1},  // integer division, floor at one
-	}
-	for _, c := range cases {
-		sc := Scale{Parallelism: c.parallelism, Shards: c.shards}
-		if got := sc.workers(); got != c.want {
-			t.Fatalf("workers() = %d with Parallelism=%d Shards=%d, want %d",
-				got, c.parallelism, c.shards, c.want)
-		}
-	}
-	if got := (Scale{Parallelism: 64, Shards: -1}).workers(); got < 1 {
-		t.Fatalf("workers() = %d with auto shards", got)
 	}
 }
 
@@ -117,7 +94,10 @@ func TestConfigConstructors(t *testing.T) {
 }
 
 func TestCalibrateProducesSLO(t *testing.T) {
-	service, slo := Calibrate(KVSConfig(1024, 1024), tinyScale())
+	service, slo, err := Calibrate(KVSConfig(1024, 1024), tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if service <= 0 {
 		t.Fatal("no service time measured")
 	}
@@ -361,17 +341,21 @@ func TestRatioHelper(t *testing.T) {
 }
 
 func TestPeakSearchReportsZeroWhenInfeasible(t *testing.T) {
-	// Every request suffers a ~100x-service spike, so p99 violates the
-	// calibrated SLO at any load: the search must report a zero peak
-	// rather than spin.
+	// Every request stalls for 2M cycles, longer than the calibration
+	// run's windows, so calibration serves no request. The search must
+	// report the config as uncalibratable with an all-zero result, not
+	// invent a service time and probe against the SLO derived from it.
 	cfg := KVSConfig(1024, 512)
 	cfg.SpikeProb = 1.0
 	cfg.SpikeMinCycles = 2_000_000
 	cfg.SpikeMaxCycles = 2_000_001
 	sc := Scale{Warmup: 300_000, Measure: 300_000, SearchIters: 1, Parallelism: 2}
 	pk := PeakThroughput(cfg, sc)
-	if pk.PeakMrps != 0 {
-		t.Fatalf("peak = %.2f for an unservable workload", pk.PeakMrps)
+	if !errors.Is(pk.err, errUncalibratable) {
+		t.Fatalf("reason = %v, want %v", pk.err, errUncalibratable)
+	}
+	if !reflect.DeepEqual(pk, PeakResult{err: pk.err}) {
+		t.Fatalf("uncalibratable search returned non-zero fields: %+v", pk)
 	}
 }
 

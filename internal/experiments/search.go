@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -27,13 +28,7 @@ type Scale struct {
 	SearchIters int
 	// Parallelism caps concurrently simulated machines. Zero defers to
 	// the SWEEPER_WORKERS environment variable, then to GOMAXPROCS.
-	// Either way the budget is divided by the per-run shard count (see
-	// workers), so run-level and shard-level parallelism never stack into
-	// host oversubscription.
 	Parallelism int
-	// Shards is the engine shard count stamped onto every run
-	// (machine.Config.Shards): 0/1 sequential, N > 1 parallel, -1 auto.
-	Shards int
 	// Sampling, when its Mode is set, stamps sampled-simulation knobs onto
 	// every run: detailed/fast-forward interval alternation with warm-up
 	// detection instead of full detailed windows. Warmup then acts as the
@@ -55,35 +50,15 @@ func QuickScale() Scale {
 }
 
 func (s Scale) workers() int {
-	budget := runtime.GOMAXPROCS(0)
 	if s.Parallelism > 0 {
-		budget = s.Parallelism
-	} else if v := os.Getenv("SWEEPER_WORKERS"); v != "" {
+		return s.Parallelism
+	}
+	if v := os.Getenv("SWEEPER_WORKERS"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			budget = n
+			return n
 		}
 	}
-	// Each run occupies runShards() goroutine slots while its engine
-	// harvests in parallel, so the concurrency budget shrinks accordingly:
-	// running 8 machines x 4 shards each on an 8-way host would thrash.
-	if w := budget / s.runShards(); w > 1 {
-		return w
-	}
-	return 1
-}
-
-// runShards resolves the per-run shard footprint used to divide the worker
-// budget. Auto (-1) is approximated with GOMAXPROCS: the engine caps auto
-// shard counts at GOMAXPROCS, so a single auto-sharded run can occupy the
-// whole host and figure-level parallelism collapses to one run at a time.
-func (s Scale) runShards() int {
-	if s.Shards == -1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if s.Shards > 1 {
-		return s.Shards
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }
 
 // SLOMultiple is the paper's latency target: p99 ≤ 100x mean unloaded
@@ -95,7 +70,9 @@ const SLOMultiple = 100
 // healthy run drops essentially nothing.
 const maxDropRate = 1e-3
 
-// PeakResult is the outcome of a peak-throughput search.
+// PeakResult is the outcome of a peak-throughput search. A config whose
+// calibration run serves no request has no SLO to search against: its
+// PeakResult is all zero, ServiceCycles and SLOCycles included.
 type PeakResult struct {
 	// PeakMrps is the highest offered load that met the SLO.
 	PeakMrps float64
@@ -105,6 +82,9 @@ type PeakResult struct {
 	SLOCycles uint64
 	// ServiceCycles is the calibrated mean unloaded service time.
 	ServiceCycles float64
+
+	// err is why no search ran (errUncalibratable), nil otherwise.
+	err error
 }
 
 // pool recycles machines across the many probes of a figure sweep: a peak
@@ -115,7 +95,6 @@ type PeakResult struct {
 var pool = machine.NewPool(0)
 
 func runOnce(cfg machine.Config, sc Scale) machine.Results {
-	cfg.Shards = sc.Shards
 	if sc.Sampling.Mode != "" {
 		cfg.Sampling = sc.Sampling
 	}
@@ -136,6 +115,7 @@ type calEntry struct {
 	once    sync.Once
 	service float64
 	slo     uint64
+	err     error
 }
 
 var (
@@ -143,16 +123,21 @@ var (
 	calCache = map[calKey]*calEntry{}
 )
 
+// errUncalibratable reports a calibration run that served no request, so
+// the config has no measured service time to derive an SLO from.
+var errUncalibratable = errors.New("experiments: calibration run served no request")
+
 // Calibrate measures the workload's mean unloaded service time for cfg by
 // running it at a trickle load, returning the service time and the derived
-// SLO target. Runs are deterministic, so results are memoized per identical
-// calibration config and window: within a figure run the many sweep points
-// that share a base configuration calibrate once instead of once per point.
-func Calibrate(cfg machine.Config, sc Scale) (service float64, slo uint64) {
+// SLO target. It returns errUncalibratable, and zero service and SLO, when
+// the calibration run serves no request. Runs are deterministic, so results
+// are memoized per identical calibration config and window: within a figure
+// run the many sweep points that share a base configuration calibrate once
+// instead of once per point.
+func Calibrate(cfg machine.Config, sc Scale) (service float64, slo uint64, err error) {
 	cal := cfg
 	cal.ClosedLoopDepth = 0
 	cal.OfferedMrps = 0.05 * float64(cfg.NetCores) // ~1/20 of a core each
-	cal.Shards = sc.Shards
 	key := calKey{cfg: cal, warmup: sc.Warmup / 2, measure: sc.Measure}
 	calMu.Lock()
 	e := calCache[key]
@@ -165,13 +150,14 @@ func Calibrate(cfg machine.Config, sc Scale) (service float64, slo uint64) {
 		m := pool.MustGet(cal)
 		r := m.Run(sc.Warmup/2, sc.Measure)
 		pool.Put(m)
-		e.service = r.AvgServiceCycles
-		if e.service <= 0 {
-			e.service = 1
+		if r.AvgServiceCycles <= 0 {
+			e.err = fmt.Errorf("%w (%d cycles warm-up, %d measured)", errUncalibratable, sc.Warmup/2, sc.Measure)
+			return
 		}
+		e.service = r.AvgServiceCycles
 		e.slo = uint64(e.service * SLOMultiple)
 	})
-	return e.service, e.slo
+	return e.service, e.slo, e.err
 }
 
 // feasibility is the acceptance criterion of one probe.
@@ -199,9 +185,13 @@ func dropFree() feasibility {
 
 // searchPeak finds the highest offered load accepted by the criterion that
 // mkOK builds from the calibrated SLO, via exponential expansion followed
-// by bisection.
+// by bisection. An uncalibratable config returns a zero PeakResult without
+// probing.
 func searchPeak(cfg machine.Config, sc Scale, startMrps float64, mkOK func(slo uint64) feasibility) PeakResult {
-	service, slo := Calibrate(cfg, sc)
+	service, slo, err := Calibrate(cfg, sc)
+	if err != nil {
+		return PeakResult{err: err}
+	}
 	ok := mkOK(slo)
 	res := PeakResult{SLOCycles: slo, ServiceCycles: service}
 

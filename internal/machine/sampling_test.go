@@ -2,7 +2,6 @@ package machine_test
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -147,29 +146,6 @@ func TestSampledTieredWithinErrorBound(t *testing.T) {
 	}
 	withinBound(t, "tiered throughput", s.Throughput.Mean, s.Throughput.HalfWidth, full.ThroughputMrps)
 	withinBound(t, "tiered amat", s.AMAT.Mean, s.AMAT.HalfWidth, full.AMATCycles)
-}
-
-// TestSampledDeterministicAcrossShards: sampling composes with the parallel
-// engine — a sampled run is bit-identical at every shard count, like any
-// other run.
-func TestSampledDeterministicAcrossShards(t *testing.T) {
-	cfg := scenarioConfig(t, "kvs")
-	cfg.Sampling.Mode = "fixed"
-
-	var base machine.Results
-	for i, shards := range []int{1, 4} {
-		c := cfg
-		c.Shards = shards
-		r := machine.MustNew(c).Run(fullWarmup, fullMeasure)
-		if i == 0 {
-			base = r
-			continue
-		}
-		if !reflect.DeepEqual(r, base) {
-			t.Fatalf("sampled run diverged between shards=1 and shards=%d:\n%+v\nvs\n%+v",
-				shards, base, r)
-		}
-	}
 }
 
 // TestSampledCIModeTightensOrCaps: adaptive mode keeps adding intervals until

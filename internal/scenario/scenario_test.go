@@ -53,6 +53,7 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 	cases := map[string]string{
 		"no name":         `{"machine": {"workload": "kvs"}}`,
 		"unknown knob":    `{"name": "x", "machine": {"set": {"frobnicate": 1}}}`,
+		"removed knob":    `{"name": "x", "machine": {"set": {"shards": 2}}}`,
 		"unknown mode":    `{"name": "x", "variants": [{"mode": "warp"}]}`,
 		"zero ddio ways":  `{"name": "x", "variants": [{"mode": "ddio"}]}`,
 		"unlabeled point": `{"name": "x", "sweep": [{"points": [{"set": {"ring_slots": 512}}]}]}`,
@@ -68,6 +69,12 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// Specs written for the removed engine-sharding knob must fail by name
+	// rather than run with the setting silently ignored.
+	_, err := Load(strings.NewReader(cases["removed knob"]))
+	if err == nil || !strings.Contains(err.Error(), `unknown knob "shards"`) {
+		t.Errorf("removed knob: got %v, want unknown knob \"shards\"", err)
 	}
 }
 

@@ -14,23 +14,12 @@
 // a bitmap-guided scan to the next occupied bucket. The rare far-future
 // events (refresh intervals, low-rate Poisson gaps) sit in a small binary
 // min-heap keyed by (cycle, sequence) and migrate into the wheel as the
-// clock approaches them. The wheel mechanics live in the queue type
-// (queue.go) so the sequential engine and every shard of the parallel
-// runtime (parallel.go) share one implementation.
+// clock approaches them. The wheel mechanics live in wheel.go.
 //
 // Event nodes are pooled: they live in one growable slab, are addressed by
 // index, and recycle through a free list, so steady-state scheduling and
 // dispatch perform no heap allocations. Handles carry a generation counter
 // to make Cancel on an already-fired (and recycled) event a safe no-op.
-//
-// # Sharded operation
-//
-// ConfigureShards partitions the engine into per-shard timing wheels
-// synchronized by conservative epochs (see parallel.go). The dispatch
-// sequence is bit-identical to the sequential engine at every shard count:
-// sequence numbers are assigned by the single-threaded coordinator and
-// events are merged in canonical (at, seq) order, never goroutine arrival
-// order.
 package sim
 
 const (
@@ -79,169 +68,80 @@ type bucket struct{ head, tail int32 }
 
 // Handle identifies a scheduled event so that it can be cancelled.
 type Handle struct {
-	e     *Engine
-	idx   int32
-	gen   uint32
-	shard int32
+	e   *Engine
+	idx int32
+	gen uint32
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. The callback and its captured state
 // are released immediately.
 func (h Handle) Cancel() {
-	if h.e == nil {
-		return
-	}
-	q := h.e.queueFor(h.shard)
-	if q.cancel(h.idx, h.gen) {
-		q.maybeCompact()
+	if h.e != nil {
+		h.e.cancel(h.idx, h.gen)
 	}
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
+//
+// Dead (cancelled) nodes are reclaimed lazily as pops and migrations walk
+// over them; compact reclaims them eagerly once they outnumber live ones.
 type Engine struct {
 	now Cycle
 	seq uint64
 
-	q queue // the sequential event queue (unused while sharded)
+	nodes []eventNode
+	free  int32 // free-list head
 
-	// par is the sharded runtime; nil selects the sequential path.
-	par *parRuntime
+	buckets    [wheelSize]bucket
+	occ        [wheelWords]uint64 // bit set iff bucket non-empty
+	wheelCount int                // nodes resident in buckets (incl. dead)
 
-	// parMin is the minimum events harvested last epoch before shard
-	// harvests engage the worker pool instead of running inline.
-	parMin int
+	overflow []int32 // min-heap by (at, seq): events beyond the wheel
+
+	live int // scheduled, non-cancelled events
+	dead int // cancelled events awaiting reclamation
 }
 
 // NewEngine returns an engine with the clock at cycle zero and no pending
 // events.
 func NewEngine() *Engine {
-	e := &Engine{parMin: defaultParMin}
-	e.q.init()
+	e := &Engine{free: noNode}
+	for i := range e.buckets {
+		e.buckets[i] = bucket{head: noNode, tail: noNode}
+	}
 	return e
 }
 
-// queueFor resolves a Handle's shard to the queue holding its node.
-func (e *Engine) queueFor(shard int32) *queue {
-	if e.par == nil {
-		return &e.q
-	}
-	return &e.par.shards[shard].q
-}
-
 // Reset returns the engine to its just-constructed observable state — clock
-// at zero, no pending events — while retaining the node slabs and heap
-// capacity (of every shard, when sharded). Every node's generation is bumped
-// and its callback cleared, so Handles from before the Reset cannot cancel
-// recycled events and captured state is released to the GC; free lists are
-// rebuilt in slab order so allocation proceeds exactly as in a fresh engine.
-// The shard configuration itself is retained; ConfigureShards changes it.
+// at zero, no pending events — while retaining the node slab and overflow
+// heap capacity. Every node's generation is bumped and its callback cleared,
+// so Handles from before the Reset cannot cancel recycled events and
+// captured state is released to the GC; the free list is rebuilt in slab
+// order so allocation proceeds exactly as in a fresh engine.
 func (e *Engine) Reset() {
-	e.q.reset()
+	e.clearBuckets()
+	e.free = noNode
+	for i := len(e.nodes) - 1; i >= 0; i-- {
+		n := &e.nodes[i]
+		n.fn, n.sink = nil, nil
+		n.dead = false
+		n.gen++
+		n.next = e.free
+		e.free = int32(i)
+	}
+	e.overflow = e.overflow[:0]
+	e.wheelCount = 0
+	e.live, e.dead = 0, 0
 	e.now, e.seq = 0, 0
-	if e.par != nil {
-		e.par.reset()
-	}
-}
-
-// ConfigureShards partitions the engine into n per-shard timing wheels
-// advanced by conservative epochs of the given lookahead (see parallel.go),
-// or restores the sequential path when n <= 1 or the lookahead is zero
-// (degenerate lookahead would make every epoch a single cycle, so it falls
-// back to sequential dispatch outright). Dispatch order is bit-identical to
-// the sequential engine in either case.
-//
-// The engine must be empty (no pending events): shard assignment happens at
-// schedule time, so events scheduled before reconfiguration would be
-// stranded. Machines configure shards before wiring any components.
-func (e *Engine) ConfigureShards(n int, lookahead Cycle) {
-	if e.Pending() != 0 {
-		panic("sim: ConfigureShards requires an empty engine")
-	}
-	if n <= 1 || lookahead == 0 {
-		e.par = nil
-		return
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	if e.par != nil && len(e.par.shards) == n {
-		// Same geometry: keep the shard slabs (they were reset with the
-		// engine) and just adopt the new epoch width.
-		e.par.lookahead = lookahead
-		return
-	}
-	e.par = newParRuntime(n, lookahead)
-}
-
-// NumShards reports the configured shard count (1 on the sequential path).
-func (e *Engine) NumShards() int {
-	if e.par == nil {
-		return 1
-	}
-	return len(e.par.shards)
-}
-
-// Lookahead reports the conservative epoch width in cycles (0 on the
-// sequential path).
-func (e *Engine) Lookahead() Cycle {
-	if e.par == nil {
-		return 0
-	}
-	return e.par.lookahead
-}
-
-// SetShard selects the shard that receives events scheduled from outside a
-// callback (component setup, between RunUntil calls). During dispatch the
-// context is the firing event's own shard, so callbacks inherit placement
-// automatically; ScheduleOnShard overrides it per event. No-op on the
-// sequential path.
-func (e *Engine) SetShard(s int) {
-	if e.par == nil {
-		return
-	}
-	if s < 0 || s >= len(e.par.shards) {
-		panic("sim: SetShard out of range")
-	}
-	e.par.setupShard = s
-	if !e.par.inEpoch {
-		e.par.ctxShard = s
-	}
-}
-
-// CurrentShard reports the shard that would receive an event scheduled right
-// now: the firing event's shard during dispatch, the SetShard selection
-// otherwise. Always 0 on the sequential path.
-func (e *Engine) CurrentShard() int {
-	if e.par == nil {
-		return 0
-	}
-	return e.par.ctxShard
-}
-
-// SetParallelHarvestThreshold sets the minimum number of events harvested in
-// the previous epoch before shard harvests run on the worker pool instead of
-// inline on the coordinator. Zero forces the pool on every epoch (used by
-// race tests); the default avoids paying barrier latency on small epochs.
-func (e *Engine) SetParallelHarvestThreshold(n int) {
-	e.parMin = n
 }
 
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
 // Pending reports the number of scheduled (non-cancelled) events.
-func (e *Engine) Pending() int {
-	if e.par == nil {
-		return e.q.live
-	}
-	total := 0
-	for i := range e.par.shards {
-		total += e.par.shards[i].q.live
-	}
-	return total
-}
+func (e *Engine) Pending() int { return e.live }
 
 // At schedules fn to run at the absolute cycle at. Scheduling in the past
 // (at < Now) clamps to the current cycle: the event runs before the clock
@@ -267,47 +167,35 @@ func (e *Engine) ScheduleAfter(delay Cycle, s Sink, arg uint64) Handle {
 	return e.schedule(e.now+delay, nil, s, arg)
 }
 
-// ScheduleOnShard schedules s.OnEvent(at, arg) with explicit shard affinity,
-// overriding the ambient context. Cross-domain wakes (the NIC delivering to
-// a core) use it so the event lives on its consumer's wheel. Equivalent to
-// Schedule on the sequential path; shard affinity never changes dispatch
-// order, only which wheel holds the event.
-func (e *Engine) ScheduleOnShard(shard int, at Cycle, s Sink, arg uint64) Handle {
-	if e.par == nil {
-		return e.schedule(at, nil, s, arg)
-	}
-	if shard < 0 || shard >= len(e.par.shards) {
-		panic("sim: ScheduleOnShard out of range")
-	}
-	if at < e.now {
-		at = e.now
-	}
-	seq := e.seq
-	e.seq++
-	return e.par.place(e, shard, at, seq, nil, s, arg)
-}
-
+// schedule allocates a node, stamps the event and links it into the wheel
+// (near future) or the overflow heap (beyond the wheel's horizon).
 func (e *Engine) schedule(at Cycle, fn Event, sink Sink, arg uint64) Handle {
 	if at < e.now {
 		at = e.now
 	}
-	seq := e.seq
+	i := e.alloc()
+	n := &e.nodes[i]
+	n.at, n.seq, n.arg = at, e.seq, arg
+	n.fn, n.sink = fn, sink
+	n.next, n.dead = noNode, false
 	e.seq++
-	if e.par != nil {
-		return e.par.place(e, e.par.ctxShard, at, seq, fn, sink, arg)
+	e.live++
+	if at-e.now < wheelSize {
+		e.wheelPush(i, at)
+	} else {
+		e.overflowPush(i)
 	}
-	i := e.q.insert(e.now, at, seq, fn, sink, arg)
-	return Handle{e: e, idx: i, gen: e.q.nodes[i].gen}
+	return Handle{e: e, idx: i, gen: n.gen}
 }
 
 // dispatch fires node i's callback at the current cycle. The node is
 // recycled first so a callback rescheduling itself reuses it without
 // touching the allocator.
 func (e *Engine) dispatch(i int32) {
-	n := &e.q.nodes[i]
+	n := &e.nodes[i]
 	fn, sink, arg := n.fn, n.sink, n.arg
-	e.q.live--
-	e.q.freeNode(i)
+	e.live--
+	e.freeNode(i)
 	if sink != nil {
 		sink.OnEvent(e.now, arg)
 		return
@@ -316,14 +204,9 @@ func (e *Engine) dispatch(i int32) {
 }
 
 // Step dispatches the single earliest pending event, advancing the clock to
-// its timestamp. It reports false when no events remain. Step is a
-// sequential-path primitive; sharded engines advance by epochs, so Step
-// panics when shards are configured — use RunUntil or Drain.
+// its timestamp. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	if e.par != nil {
-		panic("sim: Step is unsupported with shards configured; use RunUntil")
-	}
-	i, ok := e.q.pop(&e.now, maxCycle)
+	i, ok := e.pop(maxCycle)
 	if !ok {
 		return false
 	}
@@ -335,16 +218,12 @@ func (e *Engine) Step() bool {
 // event lies strictly beyond limit. The clock finishes at min(limit, time of
 // last dispatched event); events at exactly limit are dispatched.
 func (e *Engine) RunUntil(limit Cycle) {
-	if e.par != nil {
-		e.par.runUntil(e, limit)
-	} else {
-		for {
-			i, ok := e.q.pop(&e.now, limit)
-			if !ok {
-				break
-			}
-			e.dispatch(i)
+	for {
+		i, ok := e.pop(limit)
+		if !ok {
+			break
 		}
+		e.dispatch(i)
 	}
 	if e.now < limit {
 		e.now = limit
@@ -354,15 +233,6 @@ func (e *Engine) RunUntil(limit Cycle) {
 // Drain dispatches every remaining event. Use only in tests or teardown:
 // components that perpetually reschedule themselves will never drain.
 func (e *Engine) Drain() {
-	if e.par != nil {
-		e.par.runUntil(e, maxCycle)
-		return
-	}
-	for {
-		i, ok := e.q.pop(&e.now, maxCycle)
-		if !ok {
-			return
-		}
-		e.dispatch(i)
+	for e.Step() {
 	}
 }

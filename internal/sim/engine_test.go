@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -196,5 +197,45 @@ func TestRandomScheduleDispatchOrder(t *testing.T) {
 				t.Fatalf("trial %d: timestamps differ at %d", trial, i)
 			}
 		}
+	}
+}
+
+// TestResetReproduces runs a workload, Resets, and reruns: the engine must
+// reproduce the dispatch trace exactly (pool/Reset compatibility).
+func TestResetReproduces(t *testing.T) {
+	type firing struct {
+		At Cycle
+		ID int
+	}
+	e := NewEngine()
+	run := func() []firing {
+		rng := rand.New(rand.NewSource(3))
+		var trace []firing
+		id := 0
+		var spawn func(at Cycle, budget int)
+		spawn = func(at Cycle, budget int) {
+			my := id
+			id++
+			e.At(at, func(now Cycle) {
+				trace = append(trace, firing{At: now, ID: my})
+				if budget > 0 {
+					spawn(now+Cycle(rng.Intn(wheelSize*2)), budget-1)
+				}
+			})
+		}
+		for i := 0; i < 20; i++ {
+			spawn(Cycle(rng.Intn(wheelSize)), 4)
+		}
+		e.Drain()
+		return trace
+	}
+	first := run()
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 {
+		t.Fatalf("Reset left now=%d pending=%d", e.Now(), e.Pending())
+	}
+	second := run()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("trace not reproduced after Reset (len %d vs %d)", len(first), len(second))
 	}
 }
