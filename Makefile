@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers check results obs-smoke sampling-smoke cluster-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
+.PHONY: all build test vet lint race bench bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers check perfbench-test results obs-smoke sampling-smoke cluster-smoke traffic-smoke tiers-smoke golden-fig8 test-debug
 
 all: check
 
@@ -66,6 +66,11 @@ bench-tiers:
 	$(GO) run ./cmd/benchtiers -out BENCH_tiers.json
 
 bench: bench-engine bench-mem bench-e2e bench-sampling bench-cluster bench-tiers
+
+# The repository benchmark's own tests. perfbench/ is a module of its own
+# (see perfbench/README.md), so the root `go test ./...` does not run them.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # The race detector runs as its own CI job (and as `make race`), so check
 # does not run the whole suite a second time under it.

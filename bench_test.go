@@ -354,7 +354,7 @@ func BenchmarkRunOnce(b *testing.B) {
 
 // BenchmarkRunOncePooled is BenchmarkRunOnce served from a machine pool:
 // after the first iteration every run recycles the same machine through
-// Machine.Reset instead of rebuilding ~15MB of caches and tables. Compare
+// Machine.Reset instead of rebuilding about 18MB of cache arrays. Compare
 // its -benchmem numbers against BenchmarkRunOnce to see the construction
 // churn the experiment harness no longer pays; steady-state allocations are
 // near zero (one small rand reseed plus result assembly).

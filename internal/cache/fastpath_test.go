@@ -144,7 +144,8 @@ func BenchmarkLLCLookupSpread(b *testing.B) {
 }
 
 // BenchmarkSetAssocReset measures the pooled-machine reset of the full
-// Table I LLC (generation bump + LRU memclr over 589k lines).
+// Table I LLC: a generation bump, plus the full clear that the generation
+// wrap forces once every 65535 resets.
 func BenchmarkSetAssocReset(b *testing.B) {
 	c := NewSetAssoc("LLC", 36<<20, 12)
 	for i := uint64(0); i < 589_824; i++ {

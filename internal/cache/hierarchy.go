@@ -166,9 +166,9 @@ func NewHierarchy(cfg Config, sink MemSink) *Hierarchy {
 func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Reset returns the hierarchy to its just-constructed state: every cache
-// empty (O(1) generation bumps, not line-by-line), way masks back to
+// empty (O(1) generation bumps, nothing cleared), way masks back to
 // unrestricted, and all counters zeroed. Machine pooling uses this to reuse
-// the ~15MB of cache arrays across probes.
+// the cache arrays (about 17.6MB for Table I, 16B per line) across probes.
 func (h *Hierarchy) Reset() {
 	for i := range h.l1 {
 		h.l1[i].Reset()

@@ -72,49 +72,55 @@ type Victim struct {
 	Merged bool // true when the line was already present (update in place)
 }
 
-// Generation-stamped words. Both a way's tag and its LRU stamp pack the
+// Generation-stamped words. Both a way's tag and its LRU word pack the
 // cache's generation counter (top 16 bits) over a 48-bit payload — the line
-// address for tags, a monotone touch counter for LRU. A way is valid exactly
-// when its tag's generation matches the cache's current one, so Reset only
-// has to bump the generation to invalidate every line in O(1).
+// address for tags; for LRU words, a monotone touch stamp that advances by 2
+// with the line's dirty bit in bit 0. A way is valid exactly when its tag's
+// generation matches the cache's current one, so Reset only has to bump the
+// generation to invalidate every line in O(1). Stamps are even and distinct,
+// so the dirty bit never changes the relative order of two LRU words.
 //
-// Stamping the LRU words with the generation as well makes victim selection
-// a single strict-< minimum scan with no validity test: any invalid way
-// carries 0 (never used, explicitly invalidated, or cleared by Reset),
-// which sorts below every live stamp, so invalid ways win eviction before
-// any valid way — exactly the first-invalid-then-LRU policy. Ties (only
-// ever between zero stamps) break toward the lowest way index. Generation 0
-// never becomes current, making a zero word permanently invalid.
+// Victim selection is a single strict-< minimum scan over max(word,
+// genBase), with no validity test. Every invalid way reads as genBase: a
+// never-used or explicitly invalidated way holds 0, and a way last written
+// in an earlier generation holds a word below genBase. genBase sorts below
+// every live stamp, so invalid ways win eviction before any valid way —
+// exactly the first-invalid-then-LRU policy — and because all invalid ways
+// compare equal, ties break toward the lowest way index, giving a Reset
+// cache the same fill order as a fresh one. Generation 0 never becomes
+// current, making a zero word permanently invalid.
 const (
 	genShift = 48
 	addrMask = uint64(1)<<genShift - 1
-	maxGen   = uint64(1) << (64 - genShift)
+
+	dirtyBit  = uint64(1) // in LRU words
+	stampStep = 2         // stamps skip the dirty bit
 )
 
 // SetAssoc is a single set-associative cache array.
 //
-// Storage is struct-of-arrays: the hot lookup path scans only the packed
-// tag array (one 8-byte word per way) guided by a one-entry last-hit filter
-// and a per-set MRU hint, while the dirtiness state and LRU stamps live in
-// side arrays touched only on hits and replacements.
+// Storage is blocked per set: set s owns words [s·2W, (s+1)·2W) of data,
+// its W tag words first and its W LRU words right after, so a lookup, a
+// touch and a victim search stay within a few adjacent host cache lines
+// (192 B for a 12-way set). The hot lookup path scans only the tag half,
+// guided by a one-entry last-hit filter and a per-set MRU hint.
 type SetAssoc struct {
 	// Hot fields first, packed so the last-hit fast path (genBase, lastKey,
 	// stamp, lastLRU, hits) shares as few cache lines as possible.
 	genBase uint64  // current generation, pre-shifted: gen<<48
 	lastKey uint64  // tag word of the most recent hit, 0 when unset
-	stamp   uint64  // gen<<48 | touch count; copied into lru on touch
-	lastLRU *uint64 // &lru[lastIdx], kept in sync with lastKey
-	lastSt  *State  // &states[lastIdx], kept in sync with lastKey
+	stamp   uint64  // gen<<48 | touch stamp (even); copied into LRU words
+	lastLRU *uint64 // LRU word of the way behind lastKey
 	hits    uint64
 	misses  uint64
-	lastIdx int32 // way-array index behind lastKey
+	lastIdx int32 // data index of the tag word behind lastKey
 	ways    int
 	setDiv  fastdiv.Divisor // strength-reduced (addr/64) % sets
 
-	tags   []uint64 // per way: gen<<48 | addr, 0 when invalid
-	lru    []uint64 // per way: gen<<48 | touch count, 0 when invalidated
-	states []State  // per way: Clean/Dirty, meaningful only when valid
-	mru    []uint8  // per set: most-recently-hit way, probed before the scan
+	// data holds every set's block: per way a tag word (gen<<48 | addr) and
+	// an LRU word (gen<<48 | stamp | dirty). Both are 0 when invalidated.
+	data []uint64
+	mru  []uint8 // per set: most-recently-hit way, probed before the scan
 
 	sets     int
 	fullMask WayMask // MaskAll(ways), the unrestricted insert mask
@@ -145,13 +151,10 @@ func NewSetAssoc(name string, capacityBytes uint64, ways int) *SetAssoc {
 		genBase:  1 << genShift,
 		stamp:    1 << genShift,
 		fullMask: MaskAll(ways),
-		tags:     make([]uint64, sets*ways),
-		lru:      make([]uint64, sets*ways),
-		states:   make([]State, sets*ways),
+		data:     make([]uint64, 2*sets*ways),
 		mru:      make([]uint8, sets),
 	}
-	c.lastLRU = &c.lru[0]
-	c.lastSt = &c.states[0]
+	c.lastLRU = &c.data[ways]
 	return c
 }
 
@@ -183,60 +186,55 @@ func (c *SetAssoc) MissRatio() float64 {
 }
 
 // Reset invalidates every line and zeroes the statistics, returning the
-// cache to its just-constructed observable state. The generation bump makes
-// every tag word (and the last-hit filter) stale in O(1); the LRU stamps are
-// cleared with one memclr. Clearing the stamps is not optional: stale stamps
-// sort below every current-generation stamp, so they would still lose to
-// valid lines, but they are *distinct*, so the order in which empty ways
-// fill after a Reset would follow the previous run's touch pattern instead
-// of the lowest-index-first order of a fresh cache — and way masks (DDIO,
-// tenant partitions) make that placement observable. Zeroed stamps restore
-// the fresh tie-break exactly, and a memclr over the stamp array is still
-// far cheaper than reallocating the whole cache (pooled machines recycle a
-// 589k-line LLC between probes). Stale MRU hints are harmless — a hint only
-// short-circuits the scan on an exact current-generation tag match.
+// cache to its just-constructed observable state in O(1). The generation
+// bump makes every tag word (and the last-hit filter) stale, and victim
+// selection reads every LRU word below the new generation base as that
+// base, so empty ways fill lowest-index-first exactly as in a fresh cache —
+// which way masks (DDIO, tenant partitions) make observable. Nothing is
+// cleared, so recycling a pooled machine does not pay for its 589k-line
+// LLC. Stale MRU hints are harmless — a hint only short-circuits the scan
+// on an exact current-generation tag match.
 func (c *SetAssoc) Reset() {
 	c.genBase += 1 << genShift
 	if c.genBase == 0 {
 		// Generation space exhausted (the pre-shifted counter wrapped):
-		// take the rare O(capacity) tag clear so words from 65535 resets
-		// ago cannot alias the wrapped generation.
-		for i := range c.tags {
-			c.tags[i] = 0
-		}
+		// take the rare O(capacity) clear so words from 65535 resets ago
+		// cannot alias the wrapped generation.
+		clear(c.data)
 		c.genBase = 1 << genShift
-	}
-	for i := range c.lru {
-		c.lru[i] = 0
 	}
 	c.stamp = c.genBase
 	c.lastKey = 0
 	c.hits, c.misses = 0, 0
 }
 
-// key packs a line address into its current-generation tag word.
-func (c *SetAssoc) key(a uint64) uint64 {
-	return c.genBase | a
+// stateOf decodes a valid way's state from its LRU word.
+func stateOf(lru uint64) State {
+	return Clean + State(lru&dirtyBit)
+}
+
+// setBase returns the data index of set s's first tag word.
+func (c *SetAssoc) setBase(s int) int {
+	return 2 * s * c.ways
 }
 
 func (c *SetAssoc) setIndex(a uint64) int {
 	return int(c.setDiv.Mod(a / lineBytes))
 }
 
-// setLast points the one-entry last-hit filter at way-array index i.
+// setLast points the one-entry last-hit filter at the tag word data[i].
 func (c *SetAssoc) setLast(key uint64, i int) {
 	c.lastKey = key
 	c.lastIdx = int32(i)
-	c.lastLRU = &c.lru[i]
-	c.lastSt = &c.states[i]
+	c.lastLRU = &c.data[i+c.ways]
 }
 
 // scan searches set s for the tag word key, updating the set's MRU hint and
-// the last-hit filter on a match. It returns the way-array index or -1. The
-// caller has already tried the faster paths.
+// the last-hit filter on a match. It returns the tag word's data index or
+// -1. The caller has already tried the faster paths.
 func (c *SetAssoc) scan(s int, key uint64) int {
-	base := s * c.ways
-	for w, t := range c.tags[base : base+c.ways] {
+	base := c.setBase(s)
+	for w, t := range c.data[base : base+c.ways] {
 		if t == key {
 			c.mru[s] = uint8(w)
 			c.setLast(key, base+w)
@@ -246,9 +244,9 @@ func (c *SetAssoc) scan(s int, key uint64) int {
 	return -1
 }
 
-// find returns the way-array index holding line a, or -1. It touches only
-// the tag array: validity is implied by the generation bits of the match.
-// Hits are highly repetitive (poll loops re-touch the same lines), so the
+// find returns the data index of line a's tag word, or -1. It touches only
+// tag words: validity is implied by the generation bits of the match. Hits
+// are highly repetitive (poll loops re-touch the same lines), so the
 // one-entry last-hit filter and the per-set MRU way are probed before the
 // scan.
 func (c *SetAssoc) find(a uint64) int {
@@ -257,7 +255,7 @@ func (c *SetAssoc) find(a uint64) int {
 		return int(c.lastIdx)
 	}
 	s := c.setIndex(a)
-	if h := s*c.ways + int(c.mru[s]); c.tags[h] == key {
+	if h := c.setBase(s) + int(c.mru[s]); c.data[h] == key {
 		return h
 	}
 	return c.scan(s, key)
@@ -266,33 +264,32 @@ func (c *SetAssoc) find(a uint64) int {
 // Lookup probes for the line, updating LRU and hit/miss statistics. It
 // returns the line's state (Invalid on miss).
 func (c *SetAssoc) Lookup(a uint64) State {
-	c.stamp++
+	c.stamp += stampStep
 	key := c.genBase | a
 	// Last-hit fast path, duplicated from find so the common repeated hit
 	// runs without an extra call frame or the set-index computation.
 	if key == c.lastKey {
-		*c.lastLRU = c.stamp
+		x := *c.lastLRU&dirtyBit | c.stamp
+		*c.lastLRU = x
 		c.hits++
-		return *c.lastSt
+		return stateOf(x)
 	}
 	return c.lookupSlow(a, key)
 }
 
 func (c *SetAssoc) lookupSlow(a, key uint64) State {
 	s := c.setIndex(a)
-	if h := s*c.ways + int(c.mru[s]); c.tags[h] == key {
-		c.setLast(key, h)
-		c.lru[h] = c.stamp
-		c.hits++
-		return c.states[h]
+	i := c.setBase(s) + int(c.mru[s])
+	if c.data[i] == key {
+		c.setLast(key, i)
+	} else if i = c.scan(s, key); i < 0 {
+		c.misses++
+		return Invalid
 	}
-	if i := c.scan(s, key); i >= 0 {
-		c.lru[i] = c.stamp
-		c.hits++
-		return c.states[i]
-	}
-	c.misses++
-	return Invalid
+	x := c.data[i+c.ways]&dirtyBit | c.stamp
+	c.data[i+c.ways] = x
+	c.hits++
+	return stateOf(x)
 }
 
 // lookupFast is the last-hit-filter half of Lookup, small enough for the
@@ -308,8 +305,8 @@ func (c *SetAssoc) lookupFast(a uint64) bool {
 	if key != c.lastKey {
 		return false
 	}
-	c.stamp++
-	*c.lastLRU = c.stamp
+	c.stamp += stampStep
+	*c.lastLRU = *c.lastLRU&dirtyBit | c.stamp
 	c.hits++
 	return true
 }
@@ -322,16 +319,15 @@ func (c *SetAssoc) setDirtyFast(a uint64) (ok bool) {
 	if key != c.lastKey {
 		return false
 	}
-	c.stamp++
-	*c.lastSt = Dirty
-	*c.lastLRU = c.stamp
+	c.stamp += stampStep
+	*c.lastLRU = c.stamp | dirtyBit
 	return true
 }
 
 // Peek probes without touching LRU or statistics.
 func (c *SetAssoc) Peek(a uint64) State {
 	if i := c.find(a); i >= 0 {
-		return c.states[i]
+		return stateOf(c.data[i+c.ways])
 	}
 	return Invalid
 }
@@ -339,16 +335,14 @@ func (c *SetAssoc) Peek(a uint64) State {
 // SetDirty marks a present line dirty (a write hit). It reports whether the
 // line was present.
 func (c *SetAssoc) SetDirty(a uint64) bool {
-	c.stamp++
+	c.stamp += stampStep
 	key := c.genBase | a
 	if key == c.lastKey {
-		*c.lastSt = Dirty
-		*c.lastLRU = c.stamp
+		*c.lastLRU = c.stamp | dirtyBit
 		return true
 	}
 	if i := c.find(a); i >= 0 {
-		c.states[i] = Dirty
-		c.lru[i] = c.stamp
+		c.data[i+c.ways] = c.stamp | dirtyBit
 		return true
 	}
 	return false
@@ -364,68 +358,53 @@ func (c *SetAssoc) Insert(a uint64, dirty bool, mask WayMask) Victim {
 		panic(fmt.Sprintf("cache %s: address %#x exceeds the %d-bit tag space",
 			c.name, a, genShift))
 	}
-	c.stamp++
+	c.stamp += stampStep
 	key := c.genBase | a
+	word := c.stamp // the LRU word to store: stamp plus the dirty bit
+	if dirty {
+		word |= dirtyBit
+	}
 
 	// Merge probe, filter level only: the set scan below covers the rest.
 	if key == c.lastKey {
-		i := int(c.lastIdx)
-		if dirty {
-			c.states[i] = Dirty
-		}
-		c.lru[i] = c.stamp
+		*c.lastLRU = *c.lastLRU&dirtyBit | word
 		return Victim{Merged: true}
 	}
 	s := c.setIndex(a)
-	base := s * c.ways
+	base := c.setBase(s)
+	n := c.ways
+	tset := c.data[base : base+n]
+	lset := c.data[base+n : base+2*n : base+2*n]
+	genBase := c.genBase
 
-	// One pass over the set resolves the remaining merge probe and the
-	// victim choice together (tags are unique per set, so at most one way
-	// can match). The victim is the plain minimum over the set's
-	// generation-stamped LRU words: see the encoding comment above — invalid
-	// ways sort first, so no validity test is needed in the loop.
-	victimIdx := -1
+	// Unrestricted inserts resolve the remaining merge probe and the victim
+	// choice in one pass (tags are unique per set, so at most one way can
+	// match); masked ones probe first, then pick among the allowed ways.
+	var v int
 	if mask == c.fullMask {
-		tset := c.tags[base : base+c.ways]
-		lset := c.lru[base : base+c.ways : base+c.ways]
-		// oldest starts above any encodable stamp (gen and count never
-		// saturate), so the w==0 iteration always seeds the minimum.
-		v, oldest := 0, ^uint64(0)
-		for w, t := range tset {
-			if t == key {
-				i := base + w
-				if dirty {
-					c.states[i] = Dirty
-				}
-				c.lru[i] = c.stamp
-				c.mru[s] = uint8(w)
-				return Victim{Merged: true}
-			}
-			if x := lset[w]; x < oldest {
-				oldest = x
-				v = w
-			}
-		}
-		victimIdx = base + v
-	} else {
-		if i := c.scan(s, key); i >= 0 {
-			if dirty {
-				c.states[i] = Dirty
-			}
-			c.lru[i] = c.stamp
+		w, hit := pickWay(tset, lset, key, genBase)
+		if hit {
+			lset[w] = lset[w]&dirtyBit | word
+			c.mru[s] = uint8(w)
 			return Victim{Merged: true}
 		}
+		v = w
+	} else {
+		if i := c.scan(s, key); i >= 0 {
+			lset[i-base] = lset[i-base]&dirtyBit | word
+			return Victim{Merged: true}
+		}
+		v = -1
 		var oldest uint64
-		for w, x := range c.lru[base : base+c.ways] {
+		for w, x := range lset {
 			if mask&(1<<uint(w)) == 0 {
 				continue
 			}
-			if victimIdx == -1 || x < oldest {
-				victimIdx = base + w
-				oldest = x
+			if x = max(x, genBase); v == -1 || x < oldest {
+				v, oldest = w, x
 			}
 		}
-		if victimIdx == -1 {
+		if v == -1 {
 			if mask == 0 {
 				panic(fmt.Sprintf("cache %s: insert with empty way mask", c.name))
 			}
@@ -434,33 +413,52 @@ func (c *SetAssoc) Insert(a uint64, dirty bool, mask WayMask) Victim {
 		}
 	}
 
-	v := Victim{}
-	if c.tags[victimIdx]&^addrMask == c.genBase {
-		v = Victim{
-			Addr:  c.tags[victimIdx] & addrMask,
-			Dirty: c.states[victimIdx] == Dirty,
+	victim := Victim{}
+	if t := tset[v]; t&^addrMask == genBase {
+		victim = Victim{
+			Addr:  t & addrMask,
+			Dirty: lset[v]&dirtyBit != 0,
 			Valid: true,
 		}
 	}
-	st := Clean
-	if dirty {
-		st = Dirty
-	}
-	if int32(victimIdx) == c.lastIdx {
+	if int32(base+v) == c.lastIdx {
 		c.lastKey = 0 // the filter's way now holds a different line
 	}
-	c.tags[victimIdx] = key
-	c.states[victimIdx] = st
-	c.lru[victimIdx] = c.stamp
-	c.mru[s] = uint8(victimIdx - base)
-	return v
+	tset[v] = key
+	lset[v] = word
+	c.mru[s] = uint8(v)
+	return victim
 }
 
-// drop invalidates way-array index i, keeping the last-hit filter and the
-// LRU encoding (zero stamp sorts first) consistent.
+// pickWay is the one pass of an unrestricted Insert over a set: it returns
+// the way holding key (hit), or else the LRU way, invalid ways first (see
+// the encoding comment above). Kept out of line so its few live values
+// stay in registers and the minimum compiles to conditional moves: the LRU
+// order of a set is data-dependent, and a branch on it mispredicts.
+//
+//go:noinline
+func pickWay(tset, lset []uint64, key, genBase uint64) (way int, hit bool) {
+	lset = lset[:len(tset)]
+	// oldest starts above any encodable stamp (gen and count never
+	// saturate), so the w==0 iteration always seeds the minimum.
+	oldest := ^uint64(0)
+	for w, t := range tset {
+		if t == key {
+			return w, true
+		}
+		x := max(lset[w], genBase)
+		if x < oldest {
+			oldest, way = x, w
+		}
+	}
+	return way, false
+}
+
+// drop invalidates the way whose tag word is data[i], keeping the last-hit
+// filter and the LRU encoding (an invalid way sorts first) consistent.
 func (c *SetAssoc) drop(i int) {
-	c.tags[i] = 0
-	c.lru[i] = 0
+	c.data[i] = 0
+	c.data[i+c.ways] = 0
 	if int32(i) == c.lastIdx {
 		c.lastKey = 0
 	}
@@ -471,7 +469,7 @@ func (c *SetAssoc) drop(i int) {
 // whether a line was present and whether it was dirty.
 func (c *SetAssoc) Invalidate(a uint64) (present, dirty bool) {
 	if i := c.find(a); i >= 0 {
-		dirty = c.states[i] == Dirty
+		dirty = c.data[i+c.ways]&dirtyBit != 0
 		c.drop(i)
 		return true, dirty
 	}
@@ -480,11 +478,11 @@ func (c *SetAssoc) Invalidate(a uint64) (present, dirty bool) {
 
 // MakeClean marks a present line clean without removing it (the CLWB
 // behaviour after its writeback has been issued). It reports presence and
-// whether the line had been dirty.
+// whether the line had been dirty. The line's LRU position is unchanged.
 func (c *SetAssoc) MakeClean(a uint64) (present, wasDirty bool) {
 	if i := c.find(a); i >= 0 {
-		wasDirty = c.states[i] == Dirty
-		c.states[i] = Clean
+		wasDirty = c.data[i+c.ways]&dirtyBit != 0
+		c.data[i+c.ways] &^= dirtyBit
 		return true, wasDirty
 	}
 	return false, false
@@ -494,38 +492,41 @@ func (c *SetAssoc) MakeClean(a uint64) (present, wasDirty bool) {
 // line migrates between levels carrying its dirtiness with it.
 func (c *SetAssoc) Extract(a uint64) State {
 	if i := c.find(a); i >= 0 {
-		st := c.states[i]
+		st := stateOf(c.data[i+c.ways])
 		c.drop(i)
 		return st
 	}
 	return Invalid
 }
 
-// valid reports whether way-array index i holds a current-generation line.
-func (c *SetAssoc) valid(i int) bool {
-	return c.tags[i]&^addrMask == c.genBase
+// validTags calls fn with the address of every valid line.
+func (c *SetAssoc) validTags(fn func(a uint64)) {
+	for s := 0; s < c.sets; s++ {
+		base := c.setBase(s)
+		for _, t := range c.data[base : base+c.ways] {
+			if t&^addrMask == c.genBase {
+				fn(t & addrMask)
+			}
+		}
+	}
 }
 
 // OccupancyByClass counts valid lines for which classify returns true, for
 // occupancy studies and tests.
 func (c *SetAssoc) OccupancyByClass(classify func(addr uint64) bool) int {
 	n := 0
-	for i := range c.tags {
-		if c.valid(i) && classify(c.tags[i]&addrMask) {
+	c.validTags(func(a uint64) {
+		if classify(a) {
 			n++
 		}
-	}
+	})
 	return n
 }
 
 // ValidLines returns the number of non-invalid lines.
 func (c *SetAssoc) ValidLines() int {
 	n := 0
-	for i := range c.tags {
-		if c.valid(i) {
-			n++
-		}
-	}
+	c.validTags(func(uint64) { n++ })
 	return n
 }
 
@@ -535,13 +536,13 @@ func (c *SetAssoc) ValidLines() int {
 func (c *SetAssoc) checkSetInvariant() error {
 	var scratch [32]uint64
 	for s := 0; s < c.sets; s++ {
-		base := s * c.ways
+		base := c.setBase(s)
 		seen := scratch[:0]
-		for w := 0; w < c.ways; w++ {
-			if !c.valid(base + w) {
+		for _, t := range c.data[base : base+c.ways] {
+			if t&^addrMask != c.genBase {
 				continue
 			}
-			a := c.tags[base+w] & addrMask
+			a := t & addrMask
 			for _, prev := range seen {
 				if prev == a {
 					return fmt.Errorf("cache %s: duplicate line %#x in set %d",

@@ -43,22 +43,25 @@ func ClusterScaling(sc Scale) []Table {
 		Metric: "mrps",
 	}
 	for _, j := range jobs {
-		r := j.res
-		cell := Cell{
-			Param:  fmt.Sprintf("%d nodes", j.nodes),
-			Config: j.policy,
-			Mrps:   r.ThroughputMrps,
-			GBps:   r.MemBWGBps,
-		}
-		var remote float64
-		if r.Served > 0 {
-			remote = float64(r.RemoteReads) / float64(r.Served)
-		}
-		cell = cell.WithExtra("remote_per_req", remote).
-			WithExtra("p99_req", float64(r.ReqLatP99Max)).
-			WithExtra("drop_rate", r.DropRate).
-			WithExtra("fabric_msgs", float64(r.Fabric.Messages))
-		t.Cells = append(t.Cells, cell)
+		t.Cells = append(t.Cells, clusterCell(j.nodes, j.policy, j.res))
 	}
 	return []Table{t}
+}
+
+// clusterCell builds the cell of one rack run. The remote-read rate is
+// undefined when the rack served no request, so its extra is then left out
+// and WriteCSV emits an empty field rather than an invented 0.
+func clusterCell(nodes int, policy string, r cluster.Results) Cell {
+	cell := Cell{
+		Param:  fmt.Sprintf("%d nodes", nodes),
+		Config: policy,
+		Mrps:   r.ThroughputMrps,
+		GBps:   r.MemBWGBps,
+	}
+	if r.Served > 0 {
+		cell = cell.WithExtra("remote_per_req", float64(r.RemoteReads)/float64(r.Served))
+	}
+	return cell.WithExtra("p99_req", float64(r.ReqLatP99Max)).
+		WithExtra("drop_rate", r.DropRate).
+		WithExtra("fabric_msgs", float64(r.Fabric.Messages))
 }

@@ -89,7 +89,7 @@ type PeakResult struct {
 
 // pool recycles machines across the many probes of a figure sweep: a peak
 // search runs ~20 probes per configuration, and a fresh Table I machine
-// costs tens of megabytes to build. Machine.Reset guarantees a recycled
+// allocates about 18MB, nearly all of it cache arrays. Machine.Reset guarantees a recycled
 // machine runs bit-identically to a fresh one, so pooling is invisible to
 // the committed results.
 var pool = machine.NewPool(0)

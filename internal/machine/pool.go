@@ -6,10 +6,9 @@ import (
 )
 
 // Pool recycles machines across runs. Building a Table I machine allocates
-// tens of megabytes (cache arrays, the engine's event slab, the KVS key
-// tables), and a figure sweep's peak search builds ~20 machines per
-// configuration; pooling replaces that churn with O(1) generation-bump
-// resets. Machines are keyed by allocation geometry, so a pool can serve a
+// about 18MB, nearly all of it cache arrays, and a figure sweep's peak
+// search builds ~20 machines per configuration; pooling replaces that churn
+// with O(1) generation-bump cache resets. Machines are keyed by allocation geometry, so a pool can serve a
 // sweep that varies rates, seeds, modes and Sweeper settings over one shape.
 //
 // Pool is safe for concurrent use by the parallel experiment driver. Reset

@@ -59,31 +59,39 @@ type KVS struct {
 	logBase     uint64
 	zipf        *Zipf
 
-	// keyLoc is each key's current byte offset into the log (where its
-	// latest value lives); keyVer is the fingerprint of the latest SET.
-	keyLoc []uint64
-	keyVer []uint64
+	// written holds the state of every key SET since Layout; every other
+	// key is still in its pre-populated state, which initial computes in
+	// closed form. The overlay grows with the distinct keys a run writes,
+	// not with Keys.
+	written map[uint64]keyState
 
 	logHead   uint64
+	logSlots  uint64 // items the circular log holds: LogBytes / ItemBytes
 	itemLines uint64
 
 	gets, sets uint64
 
 	// Cluster sharding (zero on standalone stores): the log is sharded by
-	// key across nodes — keyHome[i] is the node whose log holds key i's
+	// key across nodes — a key's home is the node whose log holds its
 	// latest value, logHeads the simulated append cursor of every node's
 	// log. Each node runs its own KVS instance over an identical layout
 	// (same bucket and log base addresses), so every instance computes the
-	// same initial keyLoc from (nodes, key) alone and remote item reads
-	// can name the home node's log lines via addr.Remote.
+	// same initial state from (nodes, key) alone and remote item reads can
+	// name the home node's log lines via addr.Remote.
 	nodes, nodeID int
-	keyHome       []uint8
 	logHeads      []uint64
 }
 
-// NewKVS allocates the store's in-memory structures (per-key arrays, Zipf
-// sampler). Call Layout before use to place and pre-populate the store in an
-// address space.
+// keyState is where a key's latest value lives and what it is.
+type keyState struct {
+	loc  uint64 // byte offset of the value in its home node's log
+	ver  uint64 // fingerprint of the latest SET
+	home uint8  // node whose log holds the value (0 on standalone stores)
+}
+
+// NewKVS allocates the store's in-memory structures (the Zipf sampler and
+// an empty overlay of written keys). Call Layout before use to place and
+// pre-populate the store in an address space.
 func NewKVS(cfg KVSConfig) *KVS {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -95,8 +103,8 @@ func NewKVS(cfg KVSConfig) *KVS {
 	return &KVS{
 		cfg:       cfg,
 		zipf:      NewZipf(cfg.Keys, cfg.ZipfTheta, true),
-		keyLoc:    make([]uint64, cfg.Keys),
-		keyVer:    make([]uint64, cfg.Keys),
+		written:   make(map[uint64]keyState),
+		logSlots:  cfg.LogBytes / cfg.ItemBytes,
 		itemLines: cfg.ItemBytes / addr.LineBytes,
 	}
 }
@@ -104,50 +112,62 @@ func NewKVS(cfg KVSConfig) *KVS {
 // Layout implements Driver: it lays the store's structures out in the
 // address space — buckets then log, always in that order — and
 // pre-populates every key, mirroring the paper's pre-populated 2.4M pairs.
-// Re-laying-out against a freshly Reset space reuses the per-key arrays
-// (tens of MB for the default 2.4M keys) and reproduces the identical
-// initial state a fresh store would have.
+//
+// Pre-population appends the keys in key order, key i to the log of its
+// home node i%nodes (the single log on standalone stores, where nodes is
+// 1). Key i is therefore the (i/nodes)-th append to its home's log, and a
+// circular log of S = LogBytes/ItemBytes slots puts append j at slot j%S,
+// so every key's initial state and every cursor follow in closed form (see
+// initial) and Layout costs O(nodes), not O(Keys). Re-laying-out against a
+// freshly Reset space drops the written-key overlay and reproduces the
+// identical initial state a fresh store would have.
 func (k *KVS) Layout(space *addr.Space) {
 	k.bucketsBase = space.AllocApp(k.cfg.Buckets * addr.LineBytes)
 	k.logBase = space.AllocApp(k.cfg.LogBytes)
-	k.logHead = 0
 	k.gets, k.sets = 0, 0
-	if k.nodes > 1 {
-		k.layoutCluster()
+	clear(k.written)
+	if k.nodes <= 1 {
+		k.logHead = k.slotOffset(k.cfg.Keys)
 		return
 	}
-	// Pre-populate: each key gets an initial log slot, in key order.
-	for i := uint64(0); i < k.cfg.Keys; i++ {
-		k.keyLoc[i] = k.logHead
-		k.keyVer[i] = splitmix64(i)
-		k.advanceLog()
-	}
-}
-
-// layoutCluster pre-populates a sharded store: key i is homed on node
-// i%nodes and takes the next slot of that node's log, tracked through
-// per-home cursors. The walk depends only on (nodes, key), so every
-// node's instance assigns identical homes and locations.
-func (k *KVS) layoutCluster() {
-	if len(k.keyHome) != int(k.cfg.Keys) {
-		k.keyHome = make([]uint8, k.cfg.Keys)
-	}
+	// Sharded: the shared cursor stays at 0 and each home's cursor sits
+	// after the keys homed there.
+	k.logHead = 0
 	if len(k.logHeads) != k.nodes {
 		k.logHeads = make([]uint64, k.nodes)
-	} else {
-		clear(k.logHeads)
 	}
-	for i := uint64(0); i < k.cfg.Keys; i++ {
-		home := int(i % uint64(k.nodes))
-		k.keyHome[i] = uint8(home)
-		k.keyLoc[i] = k.logHeads[home]
-		k.keyVer[i] = splitmix64(i)
-		k.logHeads[home] = k.nextHead(k.logHeads[home])
+	n := uint64(k.nodes)
+	for home := range k.logHeads {
+		homed := k.cfg.Keys / n
+		if uint64(home) < k.cfg.Keys%n {
+			homed++
+		}
+		k.logHeads[home] = k.slotOffset(homed)
 	}
 }
 
-func (k *KVS) advanceLog() {
-	k.logHead = k.nextHead(k.logHead)
+// slotOffset returns the log offset of the j-th append to a fresh log.
+func (k *KVS) slotOffset(j uint64) uint64 {
+	return j % k.logSlots * k.cfg.ItemBytes
+}
+
+// initial returns a key's pre-populated state (see Layout).
+func (k *KVS) initial(key uint64) keyState {
+	n := uint64(max(k.nodes, 1))
+	return keyState{
+		loc:  k.slotOffset(key / n),
+		ver:  splitmix64(key),
+		home: uint8(key % n),
+	}
+}
+
+// state returns a key's current state: its latest SET, or its
+// pre-populated state when it has not been SET since Layout.
+func (k *KVS) state(key uint64) keyState {
+	if st, ok := k.written[key]; ok {
+		return st
+	}
+	return k.initial(key)
 }
 
 // nextHead advances a circular-log cursor by one item.
@@ -175,9 +195,10 @@ func (k *KVS) SetCluster(nodes, nodeID int) {
 // itemAddr returns the address of a key's current value: its home log
 // lines directly when local, an addr.Remote reference otherwise.
 func (k *KVS) itemAddr(key uint64) uint64 {
-	loc := k.logBase + k.keyLoc[key]
+	st := k.state(key)
+	loc := k.logBase + st.loc
 	if k.nodes > 1 {
-		if home := int(k.keyHome[key]); home != k.nodeID {
+		if home := int(st.home); home != k.nodeID {
 			return addr.Remote(home, loc)
 		}
 	}
@@ -251,7 +272,6 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	head := &k.logHead
 	if k.nodes > 1 {
 		head = &k.logHeads[k.nodeID]
-		k.keyHome[key] = uint8(k.nodeID)
 	}
 	loc := k.logBase + *head
 	for i := uint64(0); i < k.itemLines; i++ {
@@ -260,8 +280,7 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 		plan.writeFull(loc + i*addr.LineBytes)
 	}
 	// Functional update.
-	k.keyLoc[key] = *head
-	k.keyVer[key] = splitmix64(tag)
+	k.written[key] = keyState{loc: *head, ver: splitmix64(tag), home: uint8(k.nodeID)}
 	*head = k.nextHead(*head)
 	plan.RespBytes = addr.LineBytes // acknowledgment
 }
@@ -273,7 +292,7 @@ func (k *KVS) FastForward(tag uint64, _ uint64, touch func(a uint64, write, full
 	touch(k.bucketAddr(key), false, false)
 	if isGet {
 		k.gets++
-		loc := k.logBase + k.keyLoc[key]
+		loc := k.logBase + k.state(key).loc
 		for i := uint64(0); i < k.itemLines; i++ {
 			touch(loc+i*addr.LineBytes, false, false)
 		}
@@ -286,9 +305,12 @@ func (k *KVS) FastForward(tag uint64, _ uint64, touch func(a uint64, write, full
 	for i := uint64(0); i < k.itemLines; i++ {
 		touch(loc+i*addr.LineBytes, true, true)
 	}
-	k.keyLoc[key] = k.logHead
-	k.keyVer[key] = splitmix64(tag)
-	k.advanceLog()
+	// The functional update keeps the key's home, as fast-forward never
+	// re-homes keys.
+	st := k.state(key)
+	st.loc, st.ver = k.logHead, splitmix64(tag)
+	k.written[key] = st
+	k.logHead = k.nextHead(k.logHead)
 	return FFRequest{RespBytes: addr.LineBytes,
 		ComputeCycles: k.cfg.ComputeCycles, ReadFullPacket: true}
 }
@@ -318,12 +340,13 @@ func (k *KVS) WarmLines(lineBudget uint64, emit func(line uint64, dirty bool)) {
 	for r := ranks; r > 0; r-- {
 		key := k.zipf.Key(r - 1)
 		emit(k.bucketAddr(key), false)
-		if k.nodes > 1 && int(k.keyHome[key]) != k.nodeID {
+		st := k.state(key)
+		if k.nodes > 1 && int(st.home) != k.nodeID {
 			// Remotely homed items live in another node's DRAM, not
 			// this cache; only the bucket line is warmable here.
 			continue
 		}
-		loc := k.logBase + k.keyLoc[key]
+		loc := k.logBase + st.loc
 		for l := uint64(0); l < k.itemLines; l++ {
 			emit(loc+l*addr.LineBytes, false)
 		}
@@ -340,11 +363,11 @@ func (k *KVS) Get(key uint64) uint64 {
 	if key >= k.cfg.Keys {
 		panic("workload: key out of range")
 	}
-	return k.keyVer[key]
+	return k.state(key).ver
 }
 
 // Location returns the key's current log offset, for tests.
-func (k *KVS) Location(key uint64) uint64 { return k.keyLoc[key] }
+func (k *KVS) Location(key uint64) uint64 { return k.state(key).loc }
 
 // OpCounts returns the number of GETs and SETs served.
 func (k *KVS) OpCounts() (gets, sets uint64) { return k.gets, k.sets }

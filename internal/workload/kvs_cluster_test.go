@@ -38,14 +38,14 @@ func TestKVSClusterIdenticalLayout(t *testing.T) {
 				n+1, k.bucketsBase, k.logBase, ref.bucketsBase, ref.logBase)
 		}
 		for key := uint64(0); key < k.cfg.Keys; key++ {
-			if k.keyHome[key] != ref.keyHome[key] || k.keyLoc[key] != ref.keyLoc[key] {
+			if got, want := k.state(key), ref.state(key); got != want {
 				t.Fatalf("node %d key %d at (home %d, loc %#x), node 0 says (%d, %#x)",
-					n+1, key, k.keyHome[key], k.keyLoc[key], ref.keyHome[key], ref.keyLoc[key])
+					n+1, key, got.home, got.loc, want.home, want.loc)
 			}
 		}
 	}
 	for key := uint64(0); key < 8; key++ {
-		if got := ref.keyHome[key]; got != uint8(key%4) {
+		if got := ref.state(key).home; got != uint8(key%4) {
 			t.Fatalf("key %d homed on %d, want %d", key, got, key%4)
 		}
 	}
@@ -63,8 +63,9 @@ func TestKVSClusterGetAddresses(t *testing.T) {
 		if !isGet {
 			continue
 		}
-		home := int(k.keyHome[key])
-		wantLoc := k.logBase + k.keyLoc[key]
+		st := k.state(key)
+		home := int(st.home)
+		wantLoc := k.logBase + st.loc
 		k.PlanRequest(tag, 64, &plan)
 		if bucket := plan.Ops[0].Addr; addr.IsRemote(bucket) {
 			t.Fatalf("bucket probe %#x is remote", bucket)
@@ -102,7 +103,7 @@ func TestKVSClusterSetRehomesLocally(t *testing.T) {
 	var setTag uint64
 	var key uint64
 	for tag := uint64(0); ; tag++ {
-		if isGet, kk := k.DecodeOp(tag); !isGet && int(k.keyHome[kk]) != 2 {
+		if isGet, kk := k.DecodeOp(tag); !isGet && k.state(kk).home != 2 {
 			setTag, key = tag, kk
 			break
 		}
@@ -115,9 +116,9 @@ func TestKVSClusterSetRehomesLocally(t *testing.T) {
 			t.Fatalf("SET op %d addr %#x crossed the fabric", i, op.Addr)
 		}
 	}
-	if k.keyHome[key] != 2 || k.keyLoc[key] != wantHead {
+	if st := k.state(key); st.home != 2 || st.loc != wantHead {
 		t.Fatalf("after SET key %d at (home %d, loc %#x), want (2, %#x)",
-			key, k.keyHome[key], k.keyLoc[key], wantHead)
+			key, st.home, st.loc, wantHead)
 	}
 	if got := k.itemAddr(key); addr.IsRemote(got) {
 		t.Fatalf("re-homed key still reads remotely: %#x", got)
@@ -125,14 +126,18 @@ func TestKVSClusterSetRehomesLocally(t *testing.T) {
 }
 
 // TestKVSStandaloneUnsharded locks that a store without SetCluster never
-// allocates homes or emits remote addresses.
+// allocates per-node cursors, homes every key on node 0 and never emits
+// remote addresses.
 func TestKVSStandaloneUnsharded(t *testing.T) {
 	k := smallKVS(t)
-	if k.keyHome != nil || k.logHeads != nil {
+	if k.logHeads != nil {
 		t.Fatal("standalone store grew cluster state")
 	}
 	var plan Plan
 	for tag := uint64(0); tag < 500; tag++ {
+		if _, key := k.DecodeOp(tag); k.state(key).home != 0 {
+			t.Fatalf("tag %d key %d homed on node %d", tag, key, k.state(key).home)
+		}
 		k.PlanRequest(tag, 1024, &plan)
 		for i, op := range plan.Ops {
 			if addr.IsRemote(op.Addr) {
