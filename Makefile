@@ -37,9 +37,10 @@ bench-engine:
 	$(GO) test ./internal/sim/ -run=XXX -bench=Engine -benchmem
 
 # Memory-access fast path: cache indexing/lookup/insert, DRAM address
-# mapping and the strength-reduced division primitive they share.
+# mapping and the strength-reduced division primitive they share, plus the
+# pooled KVS machine reset and its warm fill.
 bench-mem:
-	$(GO) test . -run=XXX -bench='CacheHierarchy|LLCInsert|DRAMRead' -benchmem
+	$(GO) test . -run=XXX -bench='CacheHierarchy|LLCInsert|DRAMRead|MachineResetKVS' -benchmem
 	$(GO) test ./internal/cache/ -run=XXX -bench='SetIndex|LLCLookup|SetAssocReset' -benchmem
 	$(GO) test ./internal/mem/ -run=XXX -bench='MapAddr' -benchmem
 	$(GO) test ./internal/fastdiv/ -run=XXX -bench=. -benchmem
@@ -143,10 +144,12 @@ golden-fig8:
 
 # Debug build with the invariant probes compiled in (ring slot conservation,
 # DRAM timing monotonicity, cache inclusion, DDIO way-mask bounds, sampler
-# cadence), including the sampled-simulation error-bound tests.
+# cadence, warm fill against the full victim scan), over the cache tests,
+# the warm-fill oracle and the sampled-simulation error-bound tests.
 test-debug:
 	$(GO) build -tags sweeperdebug ./...
-	$(GO) test -tags sweeperdebug ./internal/machine/ ./internal/obs/ -run 'TestProbe|TestObs|Sampl'
+	$(GO) test -tags sweeperdebug ./internal/cache/
+	$(GO) test -tags sweeperdebug ./internal/machine/ ./internal/obs/ -run 'TestProbe|TestObs|Sampl|WarmFill'
 
 # Regenerate the committed experiment artifacts (takes a while).
 results:

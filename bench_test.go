@@ -375,6 +375,22 @@ func BenchmarkRunOncePooled(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineResetKVS is the set-up half of BenchmarkRunOncePooled: one
+// pooled Get of the Table I KVS machine, which resets every component and
+// re-runs the warm fill of the 589,824-line LLC and all 24 private L2s.
+// Nothing is simulated, so the time is the per-run set-up every pooled KVS
+// run pays.
+func BenchmarkMachineResetKVS(b *testing.B) {
+	b.ReportAllocs()
+	pool := machine.NewPool(1)
+	cfg := sweeper.DefaultConfig()
+	pool.Put(machine.MustNew(cfg))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool.Put(pool.MustGet(cfg))
+	}
+}
+
 // BenchmarkClusterRunOnce is the rack-scale end-to-end benchmark: one
 // complete 4-node cluster run (build, warmup, measure) — the sharded KVS
 // behind the flow-hash balancer, remote reads crossing the fabric. Compare

@@ -7,8 +7,10 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 
 	"sweeper/internal/fastdiv"
+	"sweeper/internal/obs"
 )
 
 const lineBytes = 64
@@ -126,6 +128,10 @@ type SetAssoc struct {
 	fullMask WayMask // MaskAll(ways), the unrestricted insert mask
 
 	name string
+
+	// fillMark is the stamp the last Fill left behind, Fill's O(1) check
+	// that no stamp-advancing operation ran since Reset (see Fill).
+	fillMark uint64
 }
 
 // NewSetAssoc builds a cache of the given capacity and associativity. The
@@ -452,6 +458,67 @@ func pickWay(tset, lset []uint64, key, genBase uint64) (way int, hit bool) {
 		}
 	}
 	return way, false
+}
+
+// Fill installs line a with the given dirtiness, leaving the cache exactly
+// as Insert(a, dirty, MaskAll(Ways())) would — every tag, LRU word, MRU hint
+// and filter field — but without Insert's merge probe and victim scan. It is
+// for warm-filling a cache from cold and holds only while two conditions
+// do: since New or the last Reset the cache has received nothing but Fill
+// calls, and every filled line is distinct.
+//
+// Under those conditions no insert ever hits and no way is refreshed, so a
+// set fills ways 0..W-1 in order and then replaces first-in first-out: the
+// unrestricted LRU victim is way 0 while way 0 holds a stale generation
+// (the set is empty), and otherwise the way after the set's MRU hint, which
+// Insert leaves on the way it last wrote. A Lookup, Insert or SetDirty
+// advances the stamp past fillMark, and a Peek or MakeClean that scanned to
+// a hit moves the MRU hint and sets the last-hit filter; Fill panics on
+// either. Lines dropped by Invalidate or Extract are not caught here: the
+// sweeperdebug build cross-checks every chosen way against the full scan.
+func (c *SetAssoc) Fill(a uint64, dirty bool) {
+	if a > addrMask {
+		panic(fmt.Sprintf("cache %s: address %#x exceeds the %d-bit tag space",
+			c.name, a, genShift))
+	}
+	if c.stamp != c.fillMark && c.stamp != c.genBase || c.lastKey != 0 {
+		panic(fmt.Sprintf("cache %s: Fill after a lookup or insert since Reset", c.name))
+	}
+	c.stamp += stampStep
+	word := c.stamp
+	if dirty {
+		word |= dirtyBit
+	}
+	s := c.setIndex(a)
+	base := c.setBase(s)
+	v := 0
+	if c.data[base]&^addrMask == c.genBase {
+		if v = int(c.mru[s]) + 1; v == c.ways {
+			v = 0
+		}
+	}
+	if obs.ProbesEnabled {
+		n := c.ways
+		w, hit := pickWay(c.data[base:base+n], c.data[base+n:base+2*n], c.genBase|a, c.genBase)
+		if hit || w != v {
+			obs.Failf("cache %s: Fill of %#x chose way %d of set %d, the scan way %d (hit %v)",
+				c.name, a, v, s, w, hit)
+		}
+	}
+	c.data[base+v] = c.genBase | a
+	c.data[base+v+c.ways] = word
+	c.mru[s] = uint8(v)
+	c.fillMark = c.stamp
+}
+
+// SameState reports whether c and o hold the same simulated state: every
+// tag and LRU word, MRU hint, filter field and statistic. Only fillMark,
+// Fill's own guard, is left out, so a Fill-warmed cache compares equal to
+// the Insert-warmed one it reproduces.
+func (c *SetAssoc) SameState(o *SetAssoc) bool {
+	x, y := *c, *o
+	x.fillMark, y.fillMark = 0, 0
+	return reflect.DeepEqual(x, y)
 }
 
 // drop invalidates the way whose tag word is data[i], keeping the last-hit

@@ -277,6 +277,11 @@ func (dp *datapath) installWarmLine(line uint64, dirty bool) {
 	llc.Insert(line, dirty, cache.MaskAll(llc.Ways()))
 }
 
+// warmCaches is the warm fill configure runs: warmLLC, held in a variable
+// only so the equivalence test can run the Insert-based reference fill in
+// its place.
+var warmCaches = (*datapath).warmLLC
+
 // warmLLC fills the LLC and every private L2 with application data lines
 // resembling the steady-state content of a long-running store, so
 // measurement windows observe realistic dirty-eviction traffic from the
@@ -284,11 +289,19 @@ func (dp *datapath) installWarmLine(line uint64, dirty bool) {
 // stream. The fill uses a dedicated "legacy" region rather than live log
 // addresses: warm lines must drain exactly once, never re-entering the
 // hierarchy through later reads.
+//
+// Every line goes in through SetAssoc.Fill, the scan-free equivalent of an
+// unrestricted Insert: configure runs this straight after New or Reset, so
+// each cache has seen nothing but these fills, and within one cache every
+// warm address is distinct. The content install that follows
+// (installWarmLine) and warmChurnPressure cannot use Fill: they land in
+// caches that are already warm, and their lines may repeat.
 func (dp *datapath) warmLLC(cfg Config) {
-	llcLines := uint64(dp.hier.LLC().Sets() * dp.hier.LLC().Ways())
-	l2 := dp.hier.L2(0)
-	l2LinesTotal := uint64(l2.Sets()*l2.Ways()) * uint64(cfg.NetCores+cfg.XMemCores)
-	base := dp.space.AllocApp((llcLines + 2*l2LinesTotal) * addr.LineBytes)
+	llc := dp.hier.LLC()
+	llcLines := uint64(llc.Sets() * llc.Ways())
+	l2Lines := uint64(dp.hier.L2(0).Sets() * dp.hier.L2(0).Ways())
+	total := cfg.NetCores + cfg.XMemCores
+	base := dp.space.AllocApp((llcLines + 2*l2Lines*uint64(total)) * addr.LineBytes)
 	// The warm mix mirrors each mode's steady state, so the warm
 	// content's drain is statistically indistinguishable from steady
 	// operation:
@@ -315,22 +328,16 @@ func (dp *datapath) warmLLC(cfg Config) {
 		aliasClean = true
 	}
 
-	llc := dp.hier.LLC()
-	mask := cache.MaskAll(llc.Ways())
-	nLines := uint64(llc.Sets() * llc.Ways())
-	for k := uint64(0); k < nLines; k++ {
-		llc.Insert(base+k*addr.LineBytes, int(k%10) < llcDirty10, mask)
+	for k := uint64(0); k < llcLines; k++ {
+		llc.Fill(base+k*addr.LineBytes, int(k%10) < llcDirty10)
 	}
-	total := cfg.NetCores + cfg.XMemCores
-	l2Base := base + nLines*addr.LineBytes
+	l2Base := base + llcLines*addr.LineBytes
 	cleanBase := l2Base // DMA: disjoint clean lines, displacing on eviction
 	if aliasClean {
 		cleanBase = base // DDIO: clean copies of LLC lines, merging
 	}
 	for c := 0; c < total; c++ {
 		l2 := dp.hier.L2(c)
-		l2Mask := cache.MaskAll(l2.Ways())
-		l2Lines := uint64(l2.Sets() * l2.Ways())
 		dirtyOff := l2Base + uint64(c)*2*l2Lines*addr.LineBytes
 		cleanOff := cleanBase + (uint64(c)*2+1)*l2Lines*addr.LineBytes
 		if aliasClean {
@@ -338,9 +345,9 @@ func (dp *datapath) warmLLC(cfg Config) {
 		}
 		for k := uint64(0); k < l2Lines; k++ {
 			if l2CleanFrac2 == 1 && k%2 == 1 {
-				l2.Insert(cleanOff+k/2*addr.LineBytes, false, l2Mask)
+				l2.Fill(cleanOff+k/2*addr.LineBytes, false)
 			} else {
-				l2.Insert(dirtyOff+k*addr.LineBytes, true, l2Mask)
+				l2.Fill(dirtyOff+k*addr.LineBytes, true)
 			}
 		}
 	}

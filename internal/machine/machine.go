@@ -224,7 +224,7 @@ func (m *Machine) configure(cfg Config) error {
 		// steady-state eviction pressure instead of a cache still filling.
 		w, ok := m.drv.(workload.LLCWarmer)
 		if (ok && w.WarmLLC()) || cfg.Sampling.Enabled() {
-			m.dp.warmLLC(cfg)
+			warmCaches(m.dp, cfg)
 		}
 	}
 

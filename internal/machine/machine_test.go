@@ -388,3 +388,28 @@ func TestResultsString(t *testing.T) {
 		t.Fatal("empty Results string")
 	}
 }
+
+// TestSampleDoneNeedsAMATSamples: in "ci" mode an AMAT accumulator that
+// skipped empty intervals holds fewer samples than there were intervals,
+// and below minCIIntervals of them its zero half-width means nothing, so
+// the stop rule keeps sampling until it has enough or reaches the cap.
+func TestSampleDoneNeedsAMATSamples(t *testing.T) {
+	sc := SamplingConfig{Mode: samplingModeCI, MaxIntervals: 64, MaxRelCI: 0.05}
+	var tput, amat stats.Welford
+	for i := 0; i < 8; i++ {
+		tput.Add(1)
+	}
+	amat.Add(20)
+	if sampleDone(sc, 8, &tput, &amat) {
+		t.Error("stopped on one AMAT sample")
+	}
+	if !sampleDone(sc, 64, &tput, &amat) {
+		t.Error("did not stop at MaxIntervals")
+	}
+	for amat.N() < minCIIntervals {
+		amat.Add(20)
+	}
+	if !sampleDone(sc, 8, &tput, &amat) {
+		t.Error("did not stop with tight estimates over enough samples")
+	}
+}

@@ -56,7 +56,10 @@ type SamplingSummary struct {
 	SimulatedCycles uint64 `json:"simulated_cycles"`
 	MeasuredCycles  uint64 `json:"measured_cycles"`
 	// Per-metric interval estimates: mean over the measured intervals with
-	// the 95% CI half-width (Student-t below 30 intervals).
+	// the 95% CI half-width (Student-t below 30 intervals). Throughput and
+	// MemBW count every interval; AMAT and the latency estimates count only
+	// intervals that recorded samples, so their N can fall below Intervals
+	// at low load (and is 0, with a 0 mean, when nothing was sampled).
 	Throughput  stats.Estimate `json:"throughput_mrps"`
 	AMAT        stats.Estimate `json:"amat_cycles"`
 	MemBW       stats.Estimate `json:"mem_bw_gbps"`
@@ -253,7 +256,11 @@ func relDelta(prev, cur float64) float64 {
 	return math.Abs(cur-prev) / math.Abs(prev)
 }
 
-// sampleDone is the interval scheduler's stop rule.
+// sampleDone is the interval scheduler's stop rule. n counts measured
+// intervals; amat holds only the intervals that had AMAT samples, so at low
+// load it can lag n. "ci" mode needs minCIIntervals of those before an AMAT
+// half-width means anything (below two samples it reads 0); as amat.N() <=
+// n, that also keeps the floor on intervals.
 func sampleDone(sc SamplingConfig, n int, tput, amat *stats.Welford) bool {
 	if sc.Mode == samplingModeFixed {
 		return n >= sc.Intervals
@@ -262,7 +269,7 @@ func sampleDone(sc SamplingConfig, n int, tput, amat *stats.Welford) bool {
 	if n >= sc.MaxIntervals {
 		return true
 	}
-	if n < minCIIntervals {
+	if amat.N() < minCIIntervals {
 		return false
 	}
 	return tput.Estimate().RelHalfWidth() <= sc.MaxRelCI &&
@@ -359,11 +366,21 @@ func (m *Machine) runSampled(warmup uint64) Results {
 		ri := m.collect(s, sc.DetailedCycles)
 		intervals++
 		wTput.Add(ri.ThroughputMrps)
-		wAMAT.Add(ri.AMATCycles)
 		wBW.Add(ri.MemBWGBps)
-		wDram.Add(ri.DRAMLatMean)
-		wReq.Add(ri.ReqLatMean)
-		wP99.Add(float64(ri.ReqLatP99))
+		// A latency or AMAT mean is undefined over an interval without
+		// samples (collect reports it as 0); averaging that 0 in would
+		// invent a value. Rates are defined either way: an idle interval
+		// really served 0 Mrps.
+		if m.amatCount > 0 {
+			wAMAT.Add(ri.AMATCycles)
+		}
+		if m.dp.dramLat.Count() > 0 {
+			wDram.Add(ri.DRAMLatMean)
+		}
+		if m.reqLat.Count() > 0 {
+			wReq.Add(ri.ReqLatMean)
+			wP99.Add(float64(ri.ReqLatP99))
+		}
 		sums.served += ri.Served
 		sums.offered += ri.Offered
 		sums.dropped += ri.Dropped

@@ -231,3 +231,45 @@ func TestSamplingSmokeBuiltins(t *testing.T) {
 		})
 	}
 }
+
+// TestSampledLowLoadSkipsEmptyIntervals is the regression net for invented
+// zeros: at 0.003 Mrps most measured intervals serve nothing, and an
+// interval with no samples must not pull a latency or AMAT estimate toward
+// 0. Rate metrics still average over every interval. At the scenario's
+// own seed the eight measured intervals serve one request of 487 cycles;
+// averaging in the empty intervals reported an AMAT of 2.87 cycles, below
+// the L1 latency, and a request-latency estimate of 60.9.
+func TestSampledLowLoadSkipsEmptyIntervals(t *testing.T) {
+	cfg := scenario.MustConfig("kvs", nil)
+	cfg.OfferedMrps = 0.003
+	cfg.Sampling.Mode = "fixed"
+	r := machine.MustNew(cfg).Run(3_000_000, 1_000_000)
+	s := r.Sampled
+	if s == nil {
+		t.Fatal("no SamplingSummary")
+	}
+	n := uint64(s.Intervals)
+	if s.Throughput.N != n || s.MemBW.N != n {
+		t.Errorf("rate estimates over %d and %d intervals, want all %d",
+			s.Throughput.N, s.MemBW.N, n)
+	}
+	// The case only tests something while some intervals are empty.
+	if r.Served == 0 || r.Served >= n {
+		t.Fatalf("served %d requests in %d intervals; the case needs a few", r.Served, n)
+	}
+	if s.ReqLatMean.N == 0 || s.ReqLatMean.N > r.Served || s.ReqLatP99.N != s.ReqLatMean.N {
+		t.Errorf("request-latency estimates over %d (mean) and %d (p99) intervals with %d requests served",
+			s.ReqLatMean.N, s.ReqLatP99.N, r.Served)
+	}
+	if r.Served == 1 && (s.ReqLatMean.N != 1 || s.ReqLatMean.Mean != r.ReqLatMean) {
+		t.Errorf("one request of %.0f cycles, estimate %.1f over %d intervals",
+			r.ReqLatMean, s.ReqLatMean.Mean, s.ReqLatMean.N)
+	}
+	if s.AMAT.N == 0 || s.AMAT.N >= n {
+		t.Errorf("AMAT estimate over %d of %d intervals", s.AMAT.N, n)
+	}
+	if l1 := float64(cfg.Cache.L1Lat); r.AMATCycles < l1 || s.AMAT.Mean < l1 {
+		t.Errorf("AMAT %.2f (estimate %.2f) below the %.0f-cycle L1 latency",
+			r.AMATCycles, s.AMAT.Mean, l1)
+	}
+}
