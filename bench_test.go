@@ -356,8 +356,10 @@ func BenchmarkRunOnce(b *testing.B) {
 // after the first iteration every run recycles the same machine through
 // Machine.Reset instead of rebuilding about 18MB of cache arrays. Compare
 // its -benchmem numbers against BenchmarkRunOnce to see the construction
-// churn the experiment harness no longer pays; steady-state allocations are
-// near zero (one small rand reseed plus result assembly).
+// churn the experiment harness no longer pays. Steady-state allocations are
+// result assembly and a few one-off buffers spread over b.N: 31 allocs/op at
+// -benchtime=20x (as `make bench-e2e` runs it), not comparable across other
+// iteration counts.
 func BenchmarkRunOncePooled(b *testing.B) {
 	b.ReportAllocs()
 	pool := machine.NewPool(1)

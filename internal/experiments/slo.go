@@ -93,16 +93,8 @@ func SLOCurve(sc Scale) []Table {
 		j := &jobs[i]
 		c := &combos[j.combo]
 		rate := c.knee.PeakMrps * j.frac
-		r := RunAtRate(c.cfg, rate, sc)
-		j.cell = CellFromResults(
-			fmt.Sprintf("%.0f%% knee", j.frac*100),
-			c.variant.Name+" / "+c.arrival, r).
-			WithExtra("offered_mrps", rate).
-			WithExtra("knee_mrps", c.knee.PeakMrps).
-			WithExtra("slo_cycles", float64(c.knee.SLOCycles)).
-			WithExtra("p99_cycles", float64(r.ReqLatP99)).
-			WithExtra("p999_cycles", float64(r.ReqLatP999)).
-			WithExtra("drop_rate", r.DropRate)
+		j.cell = sloCell(fmt.Sprintf("%.0f%% knee", j.frac*100),
+			c.variant.Name+" / "+c.arrival, rate, c.knee, RunAtRate(c.cfg, rate, sc))
 	})
 
 	apps := sloApps()
@@ -118,4 +110,20 @@ func SLOCurve(sc Scale) []Table {
 		tables[combos[j.combo].app].Cells = append(tables[combos[j.combo].app].Cells, j.cell)
 	}
 	return tables
+}
+
+// sloCell is one ladder point: the run's results at rate against its
+// series' knee. Sampled runs do not estimate the p99.9 tail (their
+// ReqLatP999 reads 0), so their cells leave p999_cycles out and the tables
+// show it as missing rather than plotting a 0.
+func sloCell(param, config string, rate float64, knee PeakResult, r machine.Results) Cell {
+	cell := CellFromResults(param, config, r).
+		WithExtra("offered_mrps", rate).
+		WithExtra("knee_mrps", knee.PeakMrps).
+		WithExtra("slo_cycles", float64(knee.SLOCycles)).
+		WithExtra("p99_cycles", float64(r.ReqLatP99))
+	if r.Sampled == nil {
+		cell = cell.WithExtra("p999_cycles", float64(r.ReqLatP999))
+	}
+	return cell.WithExtra("drop_rate", r.DropRate)
 }

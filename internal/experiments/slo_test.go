@@ -1,6 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"sweeper/internal/machine"
+)
 
 // TestSLOCurveShape runs the SLO-headroom harness at tiny scale and checks
 // the structural contract the committed slo_*.csv files rely on: one table
@@ -54,5 +60,47 @@ func TestSLOCurveShape(t *testing.T) {
 					tb.ID, cf, high.Extra["p999_cycles"], low.Extra["p999_cycles"])
 			}
 		}
+	}
+}
+
+// TestSLOCellOmitsSampledTail checks that a sampled run, which does not
+// estimate p99.9, leaves p999_cycles out of its ladder cell (an empty CSV
+// field, "-" in the table) instead of plotting its 0, while a detailed run
+// reports its tail.
+func TestSLOCellOmitsSampledTail(t *testing.T) {
+	knee := PeakResult{PeakMrps: 20, SLOCycles: 5000}
+	full := sloCell("50% knee", "ddio", 10, knee, machine.Results{ReqLatP99: 900, ReqLatP999: 2112})
+	if v, ok := full.Extra["p999_cycles"]; !ok || v != 2112 {
+		t.Fatalf("detailed cell p999_cycles = %g (present %v), want 2112", v, ok)
+	}
+	sampled := sloCell("50% knee", "ddio", 10, knee,
+		machine.Results{ReqLatP99: 900, Sampled: &machine.SamplingSummary{Mode: "fixed"}})
+	if v, ok := sampled.Extra["p999_cycles"]; ok {
+		t.Fatalf("sampled cell reports p999_cycles = %g", v)
+	}
+	if v := sampled.Extra["p99_cycles"]; v != 900 {
+		t.Errorf("sampled cell p99_cycles = %g, want 900", v)
+	}
+
+	tbl := Table{ID: "slo_kvs", Metric: "p999_cycles", Cells: []Cell{full, sampled}}
+	var buf bytes.Buffer
+	if err := tbl.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	col := -1
+	for i, name := range strings.Split(lines[0], ",") {
+		if name == "p999_cycles" {
+			col = i
+		}
+	}
+	if col < 0 {
+		t.Fatalf("no p999_cycles column in %q", lines[0])
+	}
+	if got := strings.Split(lines[2], ",")[col]; got != "" {
+		t.Errorf("sampled p999_cycles field %q, want empty", got)
+	}
+	if got := formatMetric(sampled, "p999_cycles"); got != "-" {
+		t.Errorf("sampled p999_cycles renders %q, want -", got)
 	}
 }

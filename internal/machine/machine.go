@@ -71,7 +71,7 @@ type Machine struct {
 	measuring bool
 	ran       bool
 	// winSnap holds the cumulative-counter snapshot taken at BeginWindow,
-	// consumed by EndWindow's delta collection.
+	// consumed by closeWindow.
 	winSnap windowSnap
 
 	// Sampled-simulation state (sampling.go): ff mirrors the hierarchy's
@@ -79,7 +79,9 @@ type Machine struct {
 	// accumulate CPU-side hierarchy access latency while measuring (the
 	// AMAT the paper's model centres on); ffLatSum/ffLatCount accumulate
 	// functional request latency, the warm-up detector's service proxy.
-	// ffPlan/ffLines are fast-forward scratch buffers.
+	// ffPlan receives the driver's PlanRequest for each fast-forwarded
+	// request, whose accesses FFServe issues directly; ffLines is its
+	// scratch buffer for RX and TX line addresses.
 	ff                   bool
 	amatSum, amatCount   uint64
 	ffLatSum, ffLatCount uint64

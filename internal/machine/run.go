@@ -35,7 +35,8 @@ type Results struct {
 	DRAMLatCDF  []stats.CDFPoint
 	// ReqLatMean/P99/P999 summarize end-to-end request latency (arrival
 	// to response posted): the SLO check gates on p99, the SLO-headroom
-	// curves plot the p99.9 tail.
+	// curves plot the p99.9 tail. Sampled runs do not estimate p99.9 yet:
+	// there ReqLatP999 reads 0.
 	ReqLatMean float64
 	ReqLatP99  uint64
 	ReqLatP999 uint64
@@ -70,8 +71,9 @@ type Results struct {
 	SweeperSavedGBps float64
 	// Sampled carries the sampled-simulation summary — interval counts and
 	// per-metric 95% confidence intervals — and is nil on full detailed
-	// runs. When set, the rate metrics above are interval means and the
-	// counters are sums over the measured intervals.
+	// runs. When set, the rate metrics above are interval means, the
+	// counters are sums over the measured intervals, and ReqLatP999 is not
+	// estimated (it reads 0).
 	Sampled *SamplingSummary `json:",omitempty"`
 }
 
@@ -89,19 +91,45 @@ func totalPerReq(b [stats.NumKinds]float64) float64 {
 	return t
 }
 
-// windowSnap captures cumulative counters at the start of a window.
+// windowSnap holds the machine's cumulative window counters. snap reads
+// them at a point in time; sub turns two readings into the counts over the
+// window between them, and add sums such windows (a sampled run's measured
+// intervals). svcSum/svcCount and amatSum/amatCount only advance while a
+// window is open.
 type windowSnap struct {
-	breakdown  [stats.NumKinds]uint64
-	dramTxns   uint64
-	tierTxns   uint64
-	served     uint64
-	offered    uint64
-	dropped    uint64
-	xmemAcc    uint64
-	llcHits    uint64
-	llcMisses  uint64
-	sweepDrops uint64
-	start      uint64
+	breakdown          [stats.NumKinds]uint64
+	dramTxns, tierTxns uint64
+	served             uint64
+	offered, dropped   uint64
+	xmemAcc            uint64
+	llcHits, llcMisses uint64
+	sweepDrops         uint64
+	svcSum, svcCount   uint64
+	amatSum, amatCount uint64
+}
+
+// apply returns the fieldwise op(s, o).
+func (s windowSnap) apply(o windowSnap, op func(a, b uint64) uint64) windowSnap {
+	for k := range s.breakdown {
+		s.breakdown[k] = op(s.breakdown[k], o.breakdown[k])
+	}
+	s.dramTxns, s.tierTxns = op(s.dramTxns, o.dramTxns), op(s.tierTxns, o.tierTxns)
+	s.served = op(s.served, o.served)
+	s.offered, s.dropped = op(s.offered, o.offered), op(s.dropped, o.dropped)
+	s.xmemAcc = op(s.xmemAcc, o.xmemAcc)
+	s.llcHits, s.llcMisses = op(s.llcHits, o.llcHits), op(s.llcMisses, o.llcMisses)
+	s.sweepDrops = op(s.sweepDrops, o.sweepDrops)
+	s.svcSum, s.svcCount = op(s.svcSum, o.svcSum), op(s.svcCount, o.svcCount)
+	s.amatSum, s.amatCount = op(s.amatSum, o.amatSum), op(s.amatCount, o.amatCount)
+	return s
+}
+
+func (s windowSnap) sub(o windowSnap) windowSnap {
+	return s.apply(o, func(a, b uint64) uint64 { return a - b })
+}
+
+func (s windowSnap) add(o windowSnap) windowSnap {
+	return s.apply(o, func(a, b uint64) uint64 { return a + b })
 }
 
 // start schedules every component's initial event: cores, tenant cores, the
@@ -149,7 +177,10 @@ func (m *Machine) snap() windowSnap {
 		dropped:   m.nicD.Dropped(),
 		llcHits:   m.dp.hier.LLC().Hits(),
 		llcMisses: m.dp.hier.LLC().Misses(),
-		start:     m.eng.Now(),
+		svcSum:    m.svcSum,
+		svcCount:  m.svcCount,
+		amatSum:   m.amatSum,
+		amatCount: m.amatCount,
 	}
 	if m.dp.tier1 != nil {
 		s.tierTxns = m.dp.tier1.Transactions()
@@ -213,25 +244,31 @@ func (m *Machine) StartNode(warmup, measure uint64, startGen func()) {
 }
 
 // BeginWindow resets the window accumulators and opens the measurement
-// window. Run calls it at the warmup boundary; the cluster layer calls it
-// on every node when the shared engine reaches the cluster's warmup.
+// window. Run calls it at the warmup boundary, a sampled run before each
+// measured interval, and the cluster layer on every node when the shared
+// engine reaches the cluster's warmup.
 func (m *Machine) BeginWindow() {
 	m.dp.dramLat.Reset()
 	m.reqLat.Reset()
-	m.svcSum, m.svcCount = 0, 0
-	m.amatSum, m.amatCount = 0, 0
 	m.measuring = true
 	m.dp.measuring = true
 	m.winSnap = m.snap()
 }
 
+// closeWindow closes the window BeginWindow opened and returns its counts;
+// the latency histograms hold its distributions until the next BeginWindow.
+func (m *Machine) closeWindow() windowSnap {
+	m.measuring = false
+	m.dp.measuring = false
+	return m.snap().sub(m.winSnap)
+}
+
 // EndWindow closes the measurement window opened by BeginWindow and
 // returns its Results.
 func (m *Machine) EndWindow(measure uint64) Results {
-	m.measuring = false
-	m.dp.measuring = false
+	w := m.closeWindow()
 	m.finishRun()
-	return m.collect(m.winSnap, measure)
+	return m.results(w, measure, m.dp.dramLat, m.reqLat)
 }
 
 // finishRun closes out a run: the sampler's final sample and the debug
@@ -248,70 +285,59 @@ func (m *Machine) finishRun() {
 	}
 }
 
-func (m *Machine) collect(snap windowSnap, measure uint64) Results {
+// results assembles the Results of a window of measure cycles from its
+// counts and its DRAM and request latency distributions.
+func (m *Machine) results(w windowSnap, measure uint64, dramLat, reqLat *stats.Histogram) Results {
 	r := Results{MeasuredCycles: measure}
 	freq := m.cfg.FreqHz
 
-	r.Served = m.served - snap.served
+	r.Served = w.served
 	r.ThroughputMrps = stats.Mrps(r.Served, measure, freq)
 
-	txns := m.dp.dram.Transactions() - snap.dramTxns
-	r.MemBWGBps = stats.GBps(txns, measure, freq)
+	r.MemBWGBps = stats.GBps(w.dramTxns, measure, freq)
 	r.MemBWUtilization = r.MemBWGBps / m.dp.dram.PeakGBps(freq)
 
 	if m.dp.tier1 != nil {
-		r.Tier1Accesses = m.dp.tier1.Transactions() - snap.tierTxns
+		r.Tier1Accesses = w.tierTxns
 		r.Tier1BWGBps = stats.GBps(r.Tier1Accesses, measure, freq)
 	}
 
-	r.AccessCounts = m.dp.breakdown.Sub(snap.breakdown)
+	r.AccessCounts = w.breakdown
 	r.AccessesPerRequest = stats.PerRequest(r.AccessCounts, r.Served)
 
-	r.DRAMLatMean = m.dp.dramLat.Mean()
-	r.DRAMLatP50 = m.dp.dramLat.Percentile(0.50)
-	r.DRAMLatP99 = m.dp.dramLat.Percentile(0.99)
-	r.DRAMLatCDF = m.dp.dramLat.CDF()
+	r.DRAMLatMean = dramLat.Mean()
+	r.DRAMLatP50 = dramLat.Percentile(0.50)
+	r.DRAMLatP99 = dramLat.Percentile(0.99)
+	r.DRAMLatCDF = dramLat.CDF()
 
-	r.ReqLatMean = m.reqLat.Mean()
-	r.ReqLatP99 = m.reqLat.Percentile(0.99)
-	r.ReqLatP999 = m.reqLat.Percentile(0.999)
-	if m.amatCount > 0 {
-		r.AMATCycles = float64(m.amatSum) / float64(m.amatCount)
+	r.ReqLatMean = reqLat.Mean()
+	r.ReqLatP99 = reqLat.Percentile(0.99)
+	r.ReqLatP999 = reqLat.Percentile(0.999)
+	if w.amatCount > 0 {
+		r.AMATCycles = float64(w.amatSum) / float64(w.amatCount)
 	}
-	if m.svcCount > 0 {
-		r.AvgServiceCycles = float64(m.svcSum) / float64(m.svcCount)
+	if w.svcCount > 0 {
+		r.AvgServiceCycles = float64(w.svcSum) / float64(w.svcCount)
 	}
 
-	if m.agen != nil {
-		r.Offered = m.agen.Offered() - snap.offered
-	} else if m.extOffered != nil {
-		r.Offered = m.extOffered() - snap.offered
-	}
-	r.Dropped = m.nicD.Dropped() - snap.dropped
+	r.Offered = w.offered
+	r.Dropped = w.dropped
 	if r.Offered > 0 {
 		r.DropRate = float64(r.Dropped) / float64(r.Offered)
 	}
 
 	if len(m.xmem) > 0 {
-		var acc uint64
-		for _, x := range m.xmem {
-			acc += x.Accesses()
-		}
-		acc -= snap.xmemAcc
-		r.XMemAccesses = acc
-		perCore := float64(acc) / float64(len(m.xmem))
+		r.XMemAccesses = w.xmemAcc
+		perCore := float64(w.xmemAcc) / float64(len(m.xmem))
 		instr := float64(m.xmem[0].Stream().InstrPerAccess())
 		r.XMemIPC = perCore * instr / float64(measure)
 	}
 
-	hits := m.dp.hier.LLC().Hits() - snap.llcHits
-	misses := m.dp.hier.LLC().Misses() - snap.llcMisses
-	if hits+misses > 0 {
-		r.LLCMissRatio = float64(misses) / float64(hits+misses)
+	if w.llcHits+w.llcMisses > 0 {
+		r.LLCMissRatio = float64(w.llcMisses) / float64(w.llcHits+w.llcMisses)
 	}
 
 	r.Sweeper = m.sweep.Stats()
-	_, drops := m.dp.hier.Sweeps()
-	r.SweeperSavedGBps = stats.GBps(drops-snap.sweepDrops, measure, freq)
+	r.SweeperSavedGBps = stats.GBps(w.sweepDrops, measure, freq)
 	return r
 }

@@ -6,7 +6,6 @@ import (
 	"sweeper/internal/addr"
 	"sweeper/internal/nic"
 	"sweeper/internal/stats"
-	"sweeper/internal/workload"
 )
 
 // Sampled simulation (DESIGN.md §12). A sampled run replaces one long
@@ -127,10 +126,10 @@ func (b *ffBatch) finish() uint64 {
 // good enough to keep closed-loop pacing and ring occupancy realistic, never
 // used for measurement.
 //
-// Access order differs from the timed pipeline in one way: drivers with a
-// FastForward path interleave their touches before the remaining RX payload
-// lines instead of after. Within a single request that only permutes
-// recency order, which has no observable effect at sampling granularity.
+// Access order differs from the timed pipeline in one way: the plan's
+// application accesses come before the remaining RX payload lines instead of
+// after. Within a single request that only permutes recency order, which has
+// no observable effect at sampling granularity.
 func (m *Machine) FFServe(now uint64, c int, p nic.Packet, txAddr uint64) (uint64, bool) {
 	t := now + m.cfg.PollCycles
 	b := ffBatch{width: m.cfg.MLPWidth}
@@ -138,44 +137,29 @@ func (m *Machine) FFServe(now uint64, c int, p nic.Packet, txAddr uint64) (uint6
 	// Header line first, as the timed pipeline does.
 	b.add(m.RXRead(t, c, p.Addr) - t)
 
-	touch := func(a uint64, write, full bool) {
+	plan := &m.ffPlan
+	m.drv.PlanRequest(p.Tag, p.Size, plan)
+	for _, op := range plan.Ops {
 		var d uint64
 		switch {
-		case write && full:
-			d = m.AppWriteFull(t, c, a)
-		case write:
-			d = m.AppWrite(t, c, a)
+		case op.Write && op.FullLine:
+			d = m.AppWriteFull(t, c, op.Addr)
+		case op.Write:
+			d = m.AppWrite(t, c, op.Addr)
 		default:
-			d = m.AppRead(t, c, a)
+			d = m.AppRead(t, c, op.Addr)
 		}
 		b.add(d - t)
 	}
 
-	var req workload.FFRequest
-	if f, ok := m.drv.(workload.FastForwarder); ok {
-		req = f.FastForward(p.Tag, p.Size, touch)
-	} else {
-		// Fallback for drivers without a functional path: build the timed
-		// plan and execute its accesses directly.
-		m.drv.PlanRequest(p.Tag, p.Size, &m.ffPlan)
-		for _, op := range m.ffPlan.Ops {
-			touch(op.Addr, op.Write, op.FullLine)
-		}
-		req = workload.FFRequest{
-			RespBytes:      m.ffPlan.RespBytes,
-			ComputeCycles:  m.ffPlan.ComputeCycles,
-			ReadFullPacket: m.ffPlan.ReadFullPacket,
-		}
-	}
-
-	if req.ReadFullPacket && p.Size > addr.LineBytes {
+	if plan.ReadFullPacket && p.Size > addr.LineBytes {
 		m.ffLines = addr.LineAddrs(m.ffLines[:0], p.Addr, p.Size)
 		for _, a := range m.ffLines[1:] {
 			b.add(m.RXRead(t, c, a) - t)
 		}
 	}
 
-	done := t + b.finish() + req.ComputeCycles + m.ExtraServiceCycles(c, p.Tag)
+	done := t + b.finish() + plan.ComputeCycles + m.ExtraServiceCycles(c, p.Tag)
 
 	// Consume the buffer: relinquish before recycling the slot, the §V-A
 	// ordering the timed pipeline enforces. Both calls are functional-safe —
@@ -183,7 +167,7 @@ func (m *Machine) FFServe(now uint64, c int, p nic.Packet, txAddr uint64) (uint6
 	done = m.Relinquish(done, c, p.Addr, p.Size)
 	m.FreeRXSlot(c)
 
-	txBytes := req.RespBytes
+	txBytes := plan.RespBytes
 	if txBytes > m.ffRespSlot {
 		txBytes = m.ffRespSlot
 	}
@@ -301,17 +285,16 @@ func (m *Machine) runSampled(warmup uint64) Results {
 		if next > warmup {
 			next = warmup
 		}
-		served0 := m.served
-		hits0, miss0 := m.dp.hier.LLC().Hits(), m.dp.hier.LLC().Misses()
+		s0 := m.snap()
 		ffSum0, ffCnt0 := m.ffLatSum, m.ffLatCount
 		m.eng.RunUntil(next)
 
-		cur := warmupWindow{served: float64(m.served - served0)}
+		d := m.snap().sub(s0)
+		cur := warmupWindow{served: float64(d.served)}
 		cur.reqs = cur.served
-		dh, dm := m.dp.hier.LLC().Hits()-hits0, m.dp.hier.LLC().Misses()-miss0
-		cur.accs = float64(dh + dm)
-		if dh+dm > 0 {
-			cur.hitRate = float64(dh) / float64(dh+dm)
+		cur.accs = float64(d.llcHits + d.llcMisses)
+		if cur.accs > 0 {
+			cur.hitRate = float64(d.llcHits) / cur.accs
 		}
 		if dc := m.ffLatCount - ffCnt0; dc > 0 {
 			cur.ffLat = float64(m.ffLatSum-ffSum0) / float64(dc)
@@ -330,22 +313,16 @@ func (m *Machine) runSampled(warmup uint64) Results {
 	warmupEnd := m.eng.Now()
 
 	// Phase 2 — alternating intervals. Each iteration: timed-but-unmeasured
-	// detailed-warm prefix, measured detailed interval (its own collect,
-	// fed into the accumulators), then — unless the stop rule fires — a
-	// fast-forward span.
+	// detailed-warm prefix, measured detailed interval (a window of its own,
+	// its Results fed into the accumulators and its counts into the run's
+	// total), then — unless the stop rule fires — a fast-forward span.
 	warmPrefix := sc.DetailedCycles
 	accDram := stats.NewHistogram(4, 8192)
 	accReq := stats.NewHistogram(64, 8192)
 	var (
 		wTput, wAMAT, wBW, wDram, wReq, wP99 stats.Welford
 
-		sums struct {
-			served, offered, dropped, xmem uint64
-			svcSum, svcCnt                 uint64
-			hits, misses, sweepDrops       uint64
-			tierAccesses                   uint64
-		}
-		counts    [stats.NumKinds]uint64
+		total     windowSnap
 		intervals int
 	)
 	for {
@@ -353,25 +330,20 @@ func (m *Machine) runSampled(warmup uint64) Results {
 		m.setPhase(phaseDetailedWarm)
 		m.eng.RunUntil(m.eng.Now() + warmPrefix)
 
-		m.dp.dramLat.Reset()
-		m.reqLat.Reset()
-		m.svcSum, m.svcCount = 0, 0
-		m.amatSum, m.amatCount = 0, 0
-		m.measuring, m.dp.measuring = true, true
+		m.BeginWindow()
 		m.setPhase(phaseDetailed)
-		s := m.snap()
 		m.eng.RunUntil(m.eng.Now() + sc.DetailedCycles)
-		m.measuring, m.dp.measuring = false, false
+		w := m.closeWindow()
 
-		ri := m.collect(s, sc.DetailedCycles)
+		ri := m.results(w, sc.DetailedCycles, m.dp.dramLat, m.reqLat)
 		intervals++
 		wTput.Add(ri.ThroughputMrps)
 		wBW.Add(ri.MemBWGBps)
 		// A latency or AMAT mean is undefined over an interval without
-		// samples (collect reports it as 0); averaging that 0 in would
+		// samples (results reports it as 0); averaging that 0 in would
 		// invent a value. Rates are defined either way: an idle interval
 		// really served 0 Mrps.
-		if m.amatCount > 0 {
+		if w.amatCount > 0 {
 			wAMAT.Add(ri.AMATCycles)
 		}
 		if m.dp.dramLat.Count() > 0 {
@@ -381,20 +353,7 @@ func (m *Machine) runSampled(warmup uint64) Results {
 			wReq.Add(ri.ReqLatMean)
 			wP99.Add(float64(ri.ReqLatP99))
 		}
-		sums.served += ri.Served
-		sums.offered += ri.Offered
-		sums.dropped += ri.Dropped
-		sums.xmem += ri.XMemAccesses
-		sums.svcSum += m.svcSum
-		sums.svcCnt += m.svcCount
-		sums.hits += m.dp.hier.LLC().Hits() - s.llcHits
-		sums.misses += m.dp.hier.LLC().Misses() - s.llcMisses
-		_, drops := m.dp.hier.Sweeps()
-		sums.sweepDrops += drops - s.sweepDrops
-		sums.tierAccesses += ri.Tier1Accesses
-		for k := range counts {
-			counts[k] += ri.AccessCounts[k]
-		}
+		total = total.add(w)
 		accDram.Merge(m.dp.dramLat)
 		accReq.Merge(m.reqLat)
 
@@ -408,46 +367,19 @@ func (m *Machine) runSampled(warmup uint64) Results {
 	m.setFastForward(false)
 	m.finishRun()
 
-	// Assemble the run's Results: rate metrics are interval means (with CIs
-	// in Sampled), distributions come from the merged per-interval
-	// histograms, counters are summed over the measured intervals.
-	total := uint64(intervals) * sc.DetailedCycles
-	freq := m.cfg.FreqHz
-	r := Results{MeasuredCycles: total}
-	r.Served = sums.served
+	// The run's Results come from the summed counts and the merged
+	// histograms, as a detailed window's do. The rate metrics are interval
+	// means instead (with CIs in Sampled): a mean of per-interval rates is
+	// not, bit for bit, the rate of the summed counts.
+	measured := uint64(intervals) * sc.DetailedCycles
+	r := m.results(total, measured, accDram, accReq)
 	r.ThroughputMrps = wTput.Mean()
 	r.AMATCycles = wAMAT.Mean()
 	r.MemBWGBps = wBW.Mean()
-	r.MemBWUtilization = r.MemBWGBps / m.dp.dram.PeakGBps(freq)
-	r.AccessCounts = counts
-	r.AccessesPerRequest = stats.PerRequest(counts, sums.served)
-	r.DRAMLatMean = accDram.Mean()
-	r.DRAMLatP50 = accDram.Percentile(0.50)
-	r.DRAMLatP99 = accDram.Percentile(0.99)
-	r.DRAMLatCDF = accDram.CDF()
-	r.ReqLatMean = accReq.Mean()
-	r.ReqLatP99 = accReq.Percentile(0.99)
-	if sums.svcCnt > 0 {
-		r.AvgServiceCycles = float64(sums.svcSum) / float64(sums.svcCnt)
-	}
-	r.Offered = sums.offered
-	r.Dropped = sums.dropped
-	if sums.offered > 0 {
-		r.DropRate = float64(sums.dropped) / float64(sums.offered)
-	}
-	if len(m.xmem) > 0 {
-		r.XMemAccesses = sums.xmem
-		perCore := float64(sums.xmem) / float64(len(m.xmem))
-		instr := float64(m.xmem[0].Stream().InstrPerAccess())
-		r.XMemIPC = perCore * instr / float64(total)
-	}
-	if sums.hits+sums.misses > 0 {
-		r.LLCMissRatio = float64(sums.misses) / float64(sums.hits+sums.misses)
-	}
-	r.Sweeper = m.sweep.Stats()
-	r.SweeperSavedGBps = stats.GBps(sums.sweepDrops, total, freq)
-	r.Tier1Accesses = sums.tierAccesses
-	r.Tier1BWGBps = stats.GBps(sums.tierAccesses, total, freq)
+	r.MemBWUtilization = r.MemBWGBps / m.dp.dram.PeakGBps(m.cfg.FreqHz)
+	// Known gap: sampled runs do not estimate the p99.9 tail yet, so it
+	// reads 0 rather than the merged histogram's value.
+	r.ReqLatP999 = 0
 	r.Sampled = &SamplingSummary{
 		Mode:              sc.Mode,
 		Intervals:         intervals,
@@ -456,7 +388,7 @@ func (m *Machine) runSampled(warmup uint64) Results {
 		WarmupDetected:    detected,
 		WarmupEndCycle:    warmupEnd,
 		SimulatedCycles:   m.eng.Now(),
-		MeasuredCycles:    total,
+		MeasuredCycles:    measured,
 		Throughput:        wTput.Estimate(),
 		AMAT:              wAMAT.Estimate(),
 		MemBW:             wBW.Estimate(),

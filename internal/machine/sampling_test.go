@@ -1,7 +1,9 @@
 package machine_test
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -174,59 +176,93 @@ func TestSampledCIModeTightensOrCaps(t *testing.T) {
 	}
 }
 
+// sampledPins holds the SHA-256 of json.Marshal(Results) for every
+// TestSamplingSmokeBuiltins run. Sampled runs are otherwise pinned only for
+// KVS in "fixed" mode (by the benchmark digest), so these keep every other
+// scenario and the "ci" schedule from drifting silently. A change that is
+// meant to move sampled results must update them, and say so.
+var sampledPins = map[string]string{
+	"kvs/fixed":         "1a3b2e5c3473ed822e5d32fde4d7c98a506a326baeb655e84fecba16c5a2ef80",
+	"kvs/ci":            "80b2b3e6d2a0057776708b3bf63467cf4a60c23bfc1089b71b67a0252e339a48",
+	"l3fwd/fixed":       "c68c70d02d8191958ce68c6ab2eb3673208a66149c612b13fca489a785f899df",
+	"l3fwd/ci":          "9697c26900a9e45eba7324f4e172d91e5ca3db5c32626f157033c00bc5ff6c38",
+	"collocation/fixed": "8d9855ae1e9659bc33306d6fa4e38384c0efc1d93ea98c708d5bb2d3e43fb4f2",
+	"collocation/ci":    "a7b815a07b26f4a0dfedc0cf6722050ff44395e6afdfdf6e9b5906920b0d27b5",
+	"tiers/fixed":       "b2acdcc328b9ac9f01d5a972d93af16843a11f765fb042c45d4f2115bd1bb294",
+	"tiers/ci":          "3adf8846f606dc1d6af8cf1fcd6c5ff9e434bedc5359adc07dc32801b73c4ee9",
+}
+
 // TestSamplingSmokeBuiltins is the cheap end-to-end smoke `make check` leans
-// on: every base scenario runs sampled with tiny windows, produces sane
-// results, phase-tags its observability series, and round-trips the sampling
-// record through the JSON manifest.
+// on: every base scenario, plus the hybrid-memory one, runs sampled in both
+// modes with tiny windows, produces sane results matching its pin in
+// sampledPins, phase-tags its observability series, and round-trips the
+// sampling record through the JSON manifest.
 func TestSamplingSmokeBuiltins(t *testing.T) {
-	for _, name := range baseScenarios {
+	for _, name := range append(baseScenarios, "tiers") {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg := scenarioConfig(t, name)
-			cfg.Sampling = machine.SamplingConfig{
-				Mode:               "fixed",
-				Intervals:          2,
-				DetailedCycles:     16_384,
-				FastForwardCycles:  16_384,
-				WarmupWindowCycles: 32_768,
-				WarmupWindows:      2,
-			}
-			m := machine.MustNew(cfg)
-			m.EnableSampling(4096)
-			// The measure argument is unused in sampled mode (the interval
-			// schedule replaces it) but must still validate.
-			r := m.Run(500_000, 100_000)
-			if r.Served == 0 {
-				t.Fatal("sampled smoke run served nothing")
-			}
-			if r.Sampled == nil || r.Sampled.Intervals != 2 {
-				t.Fatalf("unexpected sampling summary: %+v", r.Sampled)
-			}
+			for _, mode := range []string{"fixed", "ci"} {
+				t.Run(mode, func(t *testing.T) {
+					cfg := scenarioConfig(t, name)
+					cfg.Sampling = machine.SamplingConfig{
+						Mode:               mode,
+						Intervals:          2,
+						MaxIntervals:       6,
+						DetailedCycles:     16_384,
+						FastForwardCycles:  16_384,
+						WarmupWindowCycles: 32_768,
+						WarmupWindows:      2,
+					}
+					m := machine.MustNew(cfg)
+					m.EnableSampling(4096)
+					// The measure argument is unused in sampled mode (the
+					// interval schedule replaces it) but must still validate.
+					r := m.Run(500_000, 100_000)
+					if r.Served == 0 {
+						t.Fatal("sampled smoke run served nothing")
+					}
+					s := r.Sampled
+					if s == nil || s.Mode != mode ||
+						(mode == "fixed" && s.Intervals != 2) ||
+						(mode == "ci" && (s.Intervals < 4 || s.Intervals > 6)) {
+						t.Fatalf("unexpected sampling summary: %+v", s)
+					}
 
-			series := m.ObsSeries()
-			if len(series.Phases) != len(series.Cycles) {
-				t.Fatalf("phase tags (%d) do not cover samples (%d)",
-					len(series.Phases), len(series.Cycles))
-			}
-			seen := map[string]bool{}
-			for _, p := range series.Phases {
-				seen[p] = true
-			}
-			for _, want := range []string{"warmup-ff", "detailed", "fast-forward"} {
-				if !seen[want] {
-					t.Errorf("no sample tagged %q (saw %v)", want, seen)
-				}
-			}
+					res, err := json.Marshal(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key := name + "/" + mode
+					if got := fmt.Sprintf("%x", sha256.Sum256(res)); got != sampledPins[key] {
+						t.Errorf("sampled results moved: sha256 %s, pinned %q", got, sampledPins[key])
+					}
 
-			blob, err := json.Marshal(m.BuildManifest("smoke", r))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, want := range []string{`"Sampling"`, `"mode":"fixed"`, `"warmup_detected"`} {
-				if !strings.Contains(string(blob), want) {
-					t.Errorf("manifest JSON missing %s", want)
-				}
+					series := m.ObsSeries()
+					if len(series.Phases) != len(series.Cycles) {
+						t.Fatalf("phase tags (%d) do not cover samples (%d)",
+							len(series.Phases), len(series.Cycles))
+					}
+					seen := map[string]bool{}
+					for _, p := range series.Phases {
+						seen[p] = true
+					}
+					for _, want := range []string{"warmup-ff", "detailed", "fast-forward"} {
+						if !seen[want] {
+							t.Errorf("no sample tagged %q (saw %v)", want, seen)
+						}
+					}
+
+					blob, err := json.Marshal(m.BuildManifest("smoke", r))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, want := range []string{`"Sampling"`, `"mode":"` + mode + `"`, `"warmup_detected"`} {
+						if !strings.Contains(string(blob), want) {
+							t.Errorf("manifest JSON missing %s", want)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -88,16 +88,6 @@ func (b *Breakdown) Reset() { b.counts = [NumKinds]uint64{} }
 // Snapshot returns a copy of the per-kind counters.
 func (b *Breakdown) Snapshot() [NumKinds]uint64 { return b.counts }
 
-// Sub returns the element-wise difference b - prev, for extracting the
-// traffic of a measurement window from cumulative counters.
-func (b *Breakdown) Sub(prev [NumKinds]uint64) [NumKinds]uint64 {
-	var out [NumKinds]uint64
-	for i := range out {
-		out[i] = b.counts[i] - prev[i]
-	}
-	return out
-}
-
 // PerRequest converts a per-kind transaction count into accesses-per-request
 // figures, as plotted in the paper's breakdown panels.
 func PerRequest(counts [NumKinds]uint64, requests uint64) [NumKinds]float64 {

@@ -34,26 +34,6 @@ type Counter struct {
 	Value uint64
 }
 
-// FFRequest summarizes one functionally-executed request: what the core
-// would have produced had it run the full plan, minus the per-op detail.
-type FFRequest struct {
-	RespBytes     uint64
-	ComputeCycles uint64
-	// ReadFullPacket mirrors Plan.ReadFullPacket: whether the whole payload
-	// (vs only the header line) is read from the RX buffer.
-	ReadFullPacket bool
-}
-
-// FastForwarder is implemented by drivers that can execute a request
-// functionally during fast-forward intervals: application-data accesses are
-// streamed through touch (in the same order the timed plan would issue them)
-// instead of materializing a Plan, and the driver's functional state
-// (counters, KVS log/fingerprints) advances exactly as PlanRequest would.
-// Drivers without it fall back to PlanRequest during fast-forward.
-type FastForwarder interface {
-	FastForward(tag uint64, pktBytes uint64, touch func(a uint64, write, full bool)) FFRequest
-}
-
 // ClusterSharder is implemented by drivers that can shard their primary
 // data structure across the nodes of a cluster. The machine calls
 // SetCluster exactly once, before Layout, on every node of a rack: the

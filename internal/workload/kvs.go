@@ -285,36 +285,6 @@ func (k *KVS) PlanRequest(tag uint64, pktBytes uint64, plan *Plan) {
 	plan.RespBytes = addr.LineBytes // acknowledgment
 }
 
-// FastForward implements FastForwarder: the same accesses and functional
-// updates as PlanRequest, streamed through touch without building a Plan.
-func (k *KVS) FastForward(tag uint64, _ uint64, touch func(a uint64, write, full bool)) FFRequest {
-	isGet, key := k.DecodeOp(tag)
-	touch(k.bucketAddr(key), false, false)
-	if isGet {
-		k.gets++
-		loc := k.logBase + k.state(key).loc
-		for i := uint64(0); i < k.itemLines; i++ {
-			touch(loc+i*addr.LineBytes, false, false)
-		}
-		return FFRequest{RespBytes: k.cfg.ItemBytes,
-			ComputeCycles: k.cfg.ComputeCycles, ReadFullPacket: false}
-	}
-	k.sets++
-	touch(k.bucketAddr(key), true, false) // install the new location
-	loc := k.logBase + k.logHead
-	for i := uint64(0); i < k.itemLines; i++ {
-		touch(loc+i*addr.LineBytes, true, true)
-	}
-	// The functional update keeps the key's home, as fast-forward never
-	// re-homes keys.
-	st := k.state(key)
-	st.loc, st.ver = k.logHead, splitmix64(tag)
-	k.written[key] = st
-	k.logHead = k.nextHead(k.logHead)
-	return FFRequest{RespBytes: addr.LineBytes,
-		ComputeCycles: k.cfg.ComputeCycles, ReadFullPacket: true}
-}
-
 // ExtraServiceCycles implements Driver: the KVS adds no service delay
 // beyond its plan.
 func (k *KVS) ExtraServiceCycles(uint64) uint64 { return 0 }
